@@ -129,6 +129,10 @@ class BenchJson {
     quoted += '"';
     fields_.emplace_back(key, quoted);
   }
+  // Without this overload a string literal would convert to bool.
+  void set(const std::string& key, const char* v) {
+    set(key, std::string(v));
+  }
 
   [[nodiscard]] std::string path() const {
     const char* dir = std::getenv("MPCP_BENCH_DIR");

@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -102,6 +104,120 @@ class SweepRunner {
       rows[static_cast<std::size_t>(s)] = fn(static_cast<int>(s), rng);
     });
     return rows;
+  }
+
+  /// Rows a stream() may hold claimed but not yet folded.
+  [[nodiscard]] int streamWindow() const { return 64 * threadCount(); }
+
+  /// Ordered streaming map: pool threads (the caller included) claim seed
+  /// indices one at a time from a shared cursor and run fn(s, rng);
+  /// finished rows wait in a reorder window of streamWindow() slots, and
+  /// the calling thread hands the contiguous finished prefix to
+  /// fold(s, R&&) in seed order. No barrier: a slow seed delays only the
+  /// folds behind it, while the other threads keep claiming up to the
+  /// window's edge.
+  ///
+  /// may_claim() is asked before every claim (serialized, on whichever
+  /// thread claims; it must not throw). Once it returns false, or fold
+  /// returns false, no further seed is claimed. Every seed claimed before
+  /// a may_claim() refusal is still folded, so the folded seeds are
+  /// always a prefix [0, k). A seed whose fn threw ends the stream there:
+  /// the rows before it are folded and its exception is rethrown, the
+  /// same one at any thread count; so is an exception thrown by fold.
+  template <typename Claim, typename Fn, typename Fold>
+  void stream(int seeds, std::uint64_t seed_base, Claim&& may_claim, Fn&& fn,
+              Fold&& fold) {
+    using R = std::invoke_result_t<Fn&, int, Rng&>;
+    struct Slot {
+      std::optional<R> row;
+      std::exception_ptr error;
+      bool ready = false;
+    };
+    const int window = streamWindow();
+    std::vector<Slot> slots(static_cast<std::size_t>(window));
+    std::mutex mu;
+    std::condition_variable cv;
+    int next_claim = 0;
+    int next_fold = 0;
+    bool claiming = true;  // false once may_claim or fold said stop
+    bool folding = true;   // false once fold said stop or failed
+    std::exception_ptr error;
+    const std::thread::id caller = std::this_thread::get_id();
+    const auto slotOf = [&](int s) -> Slot& {
+      return slots[static_cast<std::size_t>(s % window)];
+    };
+
+    // Folds the finished prefix; called by the caller with `lock` held.
+    const auto foldReady = [&](std::unique_lock<std::mutex>& lock) {
+      while (folding && next_fold < next_claim && slotOf(next_fold).ready) {
+        Slot slot = std::exchange(slotOf(next_fold), Slot{});
+        const int s = next_fold++;
+        cv.notify_all();  // a window slot opened
+        lock.unlock();
+        bool more = false;
+        std::exception_ptr failure = slot.error;
+        if (failure == nullptr) {
+          try {
+            more = fold(s, std::move(*slot.row));
+          } catch (...) {
+            failure = std::current_exception();
+          }
+        }
+        lock.lock();
+        if (!more) {
+          error = failure;
+          claiming = false;
+          folding = false;
+          cv.notify_all();
+        }
+      }
+    };
+
+    const auto lane = [&](std::int64_t) {
+      const bool is_caller = std::this_thread::get_id() == caller;
+      std::unique_lock<std::mutex> lock(mu);
+      for (;;) {
+        if (is_caller) foldReady(lock);
+        if (claiming && next_claim < seeds &&
+            next_claim < next_fold + window) {
+          if (!may_claim()) {
+            claiming = false;
+            cv.notify_all();
+            continue;
+          }
+          const int s = next_claim++;
+          lock.unlock();
+          Slot done;
+          try {
+            Rng rng = rngFor(seed_base, s);
+            done.row.emplace(fn(s, rng));
+          } catch (...) {
+            done.error = std::current_exception();
+          }
+          done.ready = true;
+          lock.lock();
+          slotOf(s) = std::move(done);
+          cv.notify_all();
+          continue;
+        }
+        const bool claims_over = !claiming || next_claim >= seeds;
+        if (claims_over &&
+            (!is_caller || !folding || next_fold == next_claim)) {
+          return;
+        }
+        cv.wait(lock);
+      }
+    };
+    // One lane per pool thread. While seeds remain claimable no lane can
+    // return, so the caller always holds one; rows still unfolded when
+    // the lanes return (claims ran out while the caller had none) are
+    // folded below.
+    pool_.parallelFor(threadCount(), lane);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      foldReady(lock);
+    }
+    if (error != nullptr) std::rethrow_exception(error);
   }
 
   /// Bare index fan-out for callers that derive everything themselves.

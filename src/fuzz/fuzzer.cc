@@ -1,5 +1,6 @@
 #include "fuzz/fuzzer.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -29,9 +30,7 @@ namespace {
 /// One fuzz run: generate, oracle-check, return the failures (usually
 /// none). Runs on a SweepRunner worker; must stay self-contained.
 struct RunRow {
-  bool generated = false;
   bool skipped = false;  ///< campaign resume: journal already has this key
-  bool not_run = false;  ///< interrupt raised before this run started
   std::vector<OracleFailure> failures;
   std::string system_text;      ///< serialized system when failures exist
   std::string fault_plan_text;  ///< formatPlan() in fault mode, same gate
@@ -175,7 +174,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
   }
 
   // Folds one executed run into the report: journal it, shrink, dedupe
-  // by signature, write the repro. Shared between the serial batch loop
+  // by signature, write the repro. Shared between the ordered stream
   // (run order) and the fleet path (arrival order).
   const auto foldRow = [&](int run_index, const RunRow& row) {
     const std::string key = fuzzRunKey(run_index);
@@ -331,7 +330,6 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         return;
       }
       RunRow row;
-      row.generated = true;
       row.failures = std::move(outcome.failures);
       row.system_text = std::move(outcome.system_text);
       row.fault_plan_text = std::move(outcome.fault_plan_text);
@@ -350,65 +348,64 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
     return report;
   }
 
-  const int batch = std::max(runner.threadCount() * 4, 16);
-  for (int base = 0; base < options.runs; base += batch) {
-    if (options.time_budget_s > 0 && elapsed() >= options.time_budget_s) {
-      report.budget_exhausted = true;
-      break;
-    }
-    if (exec::interrupted()) {
-      report.interrupted = true;
-      break;
-    }
-    const int count = std::min(batch, options.runs - base);
-    const std::vector<RunRow> rows = runner.map(
-        count, options.seed + static_cast<std::uint64_t>(base),
-        [&](int s, Rng& rng) {
-          RunRow row;
-          if (campaign && done_keys.count(fuzzRunKey(base + s)) != 0) {
-            row.skipped = true;
-            return row;
-          }
-          if (exec::interrupted()) {
-            row.not_run = true;
-            return row;
-          }
-          const WorkloadParams params = drawWorkloadParams(rng);
-          const TaskSystem sys = generateWorkload(params, rng);
-          row.generated = true;
-          if (options.faults) {
-            const fault::FaultPlan plan =
-                fault::FaultPlan::random(rng, sys, options.fault_count);
-            row.failures = checkSystemFaults(sys, plan, fault_options);
-            if (!row.failures.empty()) {
-              row.system_text = serializeTaskSystemToString(sys);
-              row.fault_plan_text = fault::formatPlan(plan, sys);
-            }
-          } else {
-            row.failures = checkSystem(sys, oracle_options);
-            if (!row.failures.empty()) {
-              row.system_text = serializeTaskSystemToString(sys);
-            }
-          }
+  // Ordered stream: runs are claimed one at a time (the budget and the
+  // interrupt flag are checked per claim) and folded here in run order,
+  // so reported findings are deterministic for a given (--runs, --seed)
+  // at any MPCP_THREADS, and a cut-short loop has journaled a contiguous
+  // prefix of run indices.
+  bool budget_hit = false;                  // set under the stream's lock
+  std::atomic<bool> interrupt_seen{false};  // by a claim or by the fold
+  runner.stream(
+      options.runs, options.seed,
+      [&] {
+        if (options.time_budget_s > 0 && elapsed() >= options.time_budget_s) {
+          budget_hit = true;
+          return false;
+        }
+        if (exec::interrupted()) {
+          interrupt_seen = true;
+          return false;
+        }
+        return true;
+      },
+      [&](int i, Rng& rng) {
+        RunRow row;
+        if (campaign && done_keys.count(fuzzRunKey(i)) != 0) {
+          row.skipped = true;
           return row;
-        });
-
-    // Fold in run order: reported findings are deterministic for a given
-    // (--runs, --seed) at any MPCP_THREADS.
-    for (int s = 0; s < count; ++s) {
-      const RunRow& row = rows[static_cast<std::size_t>(s)];
-      if (row.skipped) {
-        ++report.resumed_skips;
-        continue;
-      }
-      if (row.not_run || exec::interrupted()) {
-        report.interrupted = true;
-        break;  // un-journaled rows in this batch simply re-run on resume
-      }
-      foldRow(base + s, row);
-    }
-    if (report.interrupted) break;
-  }
+        }
+        const WorkloadParams params = drawWorkloadParams(rng);
+        const TaskSystem sys = generateWorkload(params, rng);
+        if (options.faults) {
+          const fault::FaultPlan plan =
+              fault::FaultPlan::random(rng, sys, options.fault_count);
+          row.failures = checkSystemFaults(sys, plan, fault_options);
+          if (!row.failures.empty()) {
+            row.system_text = serializeTaskSystemToString(sys);
+            row.fault_plan_text = fault::formatPlan(plan, sys);
+          }
+        } else {
+          row.failures = checkSystem(sys, oracle_options);
+          if (!row.failures.empty()) {
+            row.system_text = serializeTaskSystemToString(sys);
+          }
+        }
+        return row;
+      },
+      [&](int i, RunRow&& row) {
+        if (row.skipped) {
+          ++report.resumed_skips;
+          return true;
+        }
+        if (exec::interrupted()) {
+          interrupt_seen = true;
+          return false;  // un-journaled runs simply re-run on resume
+        }
+        foldRow(i, row);
+        return true;
+      });
+  report.budget_exhausted = budget_hit;
+  report.interrupted = interrupt_seen.load();
 
   report.elapsed_s = elapsed();
   return report;

@@ -7,11 +7,15 @@
 // (fuzz/shrink.h) and serialized as self-contained repro files
 // (fuzz/repro.h).
 //
-// Runs fan out across exp::SweepRunner (MPCP_THREADS) in batches; the
-// wall-clock budget is checked between batches only, and per-run results
-// are folded in run order, so the set of *reported* findings for a given
-// (--runs, --seed) is deterministic at any thread count when no time
-// budget cuts the loop short.
+// Runs stream through exp::SweepRunner::stream (MPCP_THREADS): pool
+// threads claim run indices one at a time, and the calling thread folds
+// finished runs (journal, shrink, dedupe, repro) in run order as soon as
+// the contiguous prefix is complete, so the set of *reported* findings
+// for a given (--runs, --seed) is deterministic at any thread count. The
+// wall-clock budget and the interrupt flag are checked before every
+// claim; a loop they cut short has still folded (and, in campaign mode,
+// journaled) exactly runs 0..k-1 for some k, so --resume continues from
+// a contiguous prefix.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -18,43 +19,61 @@ namespace mpcp::fuzz {
 
 namespace {
 
-using FinishMap = std::map<std::pair<std::int32_t, std::int64_t>, Time>;
+/// Job finish times keyed by (task, instance), sorted by key.
+struct Finish {
+  std::int32_t task;
+  std::int64_t instance;
+  Time finish;
+};
+using FinishList = std::vector<Finish>;
 
-FinishMap finishMapOf(const SimResult& r) {
-  FinishMap out;
-  for (const JobRecord& jr : r.jobs) {
-    out[{jr.id.task.value(), jr.id.instance}] = jr.finish;
+bool keyLess(const Finish& a, const Finish& b) {
+  return std::tie(a.task, a.instance) < std::tie(b.task, b.instance);
+}
+
+/// Works for engine JobRecords and reference ReferenceJobResults alike;
+/// both hold one record per released job, so keys are unique.
+template <typename Jobs>
+FinishList finishesOf(const Jobs& jobs) {
+  FinishList out;
+  out.reserve(jobs.size());
+  for (const auto& j : jobs) {
+    out.push_back({j.id.task.value(), j.id.instance, j.finish});
   }
+  std::sort(out.begin(), out.end(), keyLess);
   return out;
 }
 
-/// First divergence between two finish maps; nullopt when identical.
+/// First divergence between two finish lists; nullopt when identical.
 std::optional<std::string> diffFinishes(const TaskSystem& sys,
-                                        const FinishMap& a, const char* la,
-                                        const FinishMap& b, const char* lb) {
+                                        const FinishList& a, const char* la,
+                                        const FinishList& b, const char* lb) {
   if (a.size() != b.size()) {
     return strf(la, " released ", a.size(), " jobs, ", lb, " released ",
                 b.size());
   }
-  for (const auto& [key, fa] : a) {
-    const auto it = b.find(key);
-    if (it == b.end()) {
-      return strf(sys.task(TaskId(key.first)).name, "#", key.second,
+  for (const Finish& fa : a) {
+    const auto it = std::lower_bound(b.begin(), b.end(), fa, keyLess);
+    if (it == b.end() || keyLess(fa, *it)) {
+      return strf(sys.task(TaskId(fa.task)).name, "#", fa.instance,
                   " missing under ", lb);
     }
-    if (it->second != fa) {
-      return strf(sys.task(TaskId(key.first)).name, "#", key.second,
-                  " finishes at t=", fa, " under ", la, " but t=", it->second,
-                  " under ", lb);
+    if (it->finish != fa.finish) {
+      return strf(sys.task(TaskId(fa.task)).name, "#", fa.instance,
+                  " finishes at t=", fa.finish, " under ", la, " but t=",
+                  it->finish, " under ", lb);
     }
   }
   return std::nullopt;
 }
 
-Duration maxBlockedOf(const SimResult& r, TaskId t) {
-  Duration worst = 0;
+/// Worst blocking per task over every job record, unfinished ones too.
+std::vector<Duration> maxBlockedPerTask(const TaskSystem& sys,
+                                        const SimResult& r) {
+  std::vector<Duration> worst(sys.tasks().size(), 0);
   for (const JobRecord& jr : r.jobs) {
-    if (jr.id.task == t) worst = std::max(worst, jr.blocked);
+    Duration& w = worst[static_cast<std::size_t>(jr.id.task.value())];
+    w = std::max(w, jr.blocked);
   }
   return worst;
 }
@@ -135,7 +154,14 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
 
   const SimConfig config{.horizon_cap = options.horizon_cap};
   const PriorityTables tables(system);
-  std::map<std::string, SimResult> runs;  // applicable protocols only
+  // All the cross-checks (c) read once each traced run is dropped: which
+  // protocols ran, and the finish records of the ceiling protocols. So at
+  // most one traced SimResult is alive at a time.
+  std::vector<std::string> ran;
+  std::map<std::string, FinishList> finishes;  // pcp, mpcp, dpcp
+  const auto didRun = [&](const std::string& name) {
+    return std::find(ran.begin(), ran.end(), name) != ran.end();
+  };
 
   // Per-protocol runs: invariants (a) + soundness (b).
   for (const std::string& name : protocolNames()) {
@@ -188,10 +214,11 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
              "missed a deadline"});
       }
       if (!sim->any_deadline_miss) {
+        const std::vector<Duration> worst = maxBlockedPerTask(system, *sim);
         for (const Task& t : system.tasks()) {
-          const Duration bound =
-              analysis->blocking[static_cast<std::size_t>(t.id.value())];
-          const Duration observed = maxBlockedOf(*sim, t.id);
+          const auto ti = static_cast<std::size_t>(t.id.value());
+          const Duration bound = analysis->blocking[ti];
+          const Duration observed = worst[ti];
           if (observed > bound) {
             failures.push_back(
                 {name, "soundness:blocking-bound",
@@ -203,13 +230,16 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
       }
     }
 
-    runs.emplace(name, std::move(*sim));
+    ran.push_back(name);
+    if (name == "pcp" || name == "mpcp" || name == "dpcp") {
+      finishes.emplace(name, finishesOf(sim->jobs));
+    }
   }
 
   if (!options.cross_checks) return failures;
 
   // (c) cross-implementation differentials.
-  if (runs.count("mpcp") != 0) {
+  if (didRun("mpcp")) {
     // Engine vs the independent tick-stepped reference, same short horizon.
     try {
       const auto engine_small =
@@ -220,12 +250,9 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
       if (engine_small.has_value()) {
         const ReferenceResult ref =
             simulateMpcpReference(system, options.differential_horizon);
-        FinishMap ref_map;
-        for (const ReferenceJobResult& rj : ref.jobs) {
-          ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
-        }
-        if (const auto diff = diffFinishes(system, finishMapOf(*engine_small),
-                                           "engine", ref_map, "reference")) {
+        if (const auto diff =
+                diffFinishes(system, finishesOf(engine_small->jobs), "engine",
+                             finishesOf(ref.jobs), "reference")) {
           failures.push_back({"mpcp", "cross:reference-mpcp", *diff});
         }
       }
@@ -238,8 +265,8 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
       const SimResult hyb =
           simulateHybrid(system, HybridPolicy::allShared(system), config);
       if (const auto diff =
-              diffFinishes(system, finishMapOf(runs.at("mpcp")), "mpcp",
-                           finishMapOf(hyb), "hybrid(all-shared)")) {
+              diffFinishes(system, finishes.at("mpcp"), "mpcp",
+                           finishesOf(hyb.jobs), "hybrid(all-shared)")) {
         failures.push_back({"mpcp", "cross:hybrid-shared", *diff});
       }
     } catch (const ConfigError&) {
@@ -252,7 +279,7 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
   // engine run repeats any mutation, so a mis-granting spin variant shows
   // up here as a schedule divergence.
   for (const char* sname : {"spin-fifo", "spin-prio"}) {
-    if (runs.count(sname) == 0) continue;
+    if (!didRun(sname)) continue;
     try {
       const auto engine_small =
           tryRunProtocol(sname, system,
@@ -263,12 +290,9 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
         const ReferenceResult ref = simulateSpinReference(
             system, options.differential_horizon,
             std::string_view(sname) == "spin-prio");
-        FinishMap ref_map;
-        for (const ReferenceJobResult& rj : ref.jobs) {
-          ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
-        }
-        if (const auto diff = diffFinishes(system, finishMapOf(*engine_small),
-                                           "engine", ref_map, "reference")) {
+        if (const auto diff =
+                diffFinishes(system, finishesOf(engine_small->jobs), "engine",
+                             finishesOf(ref.jobs), "reference")) {
           failures.push_back({sname, "cross:reference-spin", *diff});
         }
       }
@@ -277,14 +301,14 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
     }
   }
 
-  if (runs.count("dpcp") != 0) {
+  if (didRun("dpcp")) {
     // hybrid(all-message) must equal DPCP job-for-job.
     try {
       const SimResult hyb =
           simulateHybrid(system, HybridPolicy::allMessage(system), config);
       if (const auto diff =
-              diffFinishes(system, finishMapOf(runs.at("dpcp")), "dpcp",
-                           finishMapOf(hyb), "hybrid(all-message)")) {
+              diffFinishes(system, finishes.at("dpcp"), "dpcp",
+                           finishesOf(hyb.jobs), "hybrid(all-message)")) {
         failures.push_back({"dpcp", "cross:hybrid-message", *diff});
       }
     } catch (const ConfigError&) {
@@ -298,12 +322,11 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
     // PCP / MPCP / DPCP must produce the identical schedule.
     const char* kAgree[] = {"pcp", "mpcp", "dpcp"};
     for (int i = 0; i + 1 < 3; ++i) {
-      const auto a = runs.find(kAgree[i]);
-      const auto b = runs.find(kAgree[i + 1]);
-      if (a == runs.end() || b == runs.end()) continue;
-      if (const auto diff =
-              diffFinishes(system, finishMapOf(a->second), kAgree[i],
-                           finishMapOf(b->second), kAgree[i + 1])) {
+      const auto a = finishes.find(kAgree[i]);
+      const auto b = finishes.find(kAgree[i + 1]);
+      if (a == finishes.end() || b == finishes.end()) continue;
+      if (const auto diff = diffFinishes(system, a->second, kAgree[i],
+                                         b->second, kAgree[i + 1])) {
         failures.push_back({strf(kAgree[i], "+", kAgree[i + 1]),
                             "cross:no-global-agreement", *diff});
       }
@@ -379,7 +402,7 @@ std::vector<OracleFailure> checkSystemFaults(const TaskSystem& system,
         "mpcp", system,
         SimConfig{.horizon_cap = options.horizon_cap, .record_trace = false});
     if (plain.has_value()) {
-      const FinishMap plain_map = finishMapOf(*plain);
+      const FinishList plain_finishes = finishesOf(plain->jobs);
       fault::ContainmentConfig inert_budget;
       inert_budget.budget_enforce = true;
       inert_budget.grace = 1.0;
@@ -393,8 +416,8 @@ std::vector<OracleFailure> checkSystemFaults(const TaskSystem& system,
         config.containment = cc;
         const auto guarded = tryRunProtocol("mpcp", system, config);
         if (!guarded.has_value()) continue;
-        if (const auto diff = diffFinishes(system, plain_map, "plain",
-                                           finishMapOf(*guarded), label)) {
+        if (const auto diff = diffFinishes(system, plain_finishes, "plain",
+                                           finishesOf(guarded->jobs), label)) {
           failures.push_back({"mpcp", "fault:neutral-containment",
                               strf(label, ": ", *diff)});
         }
@@ -416,13 +439,9 @@ std::vector<OracleFailure> checkSystemFaults(const TaskSystem& system,
       if (engine_small.has_value()) {
         const ReferenceResult ref =
             simulateMpcpReference(system, options.differential_horizon, &plan);
-        FinishMap ref_map;
-        for (const ReferenceJobResult& rj : ref.jobs) {
-          ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
-        }
         if (const auto diff =
-                diffFinishes(system, finishMapOf(*engine_small), "engine",
-                             ref_map, "reference")) {
+                diffFinishes(system, finishesOf(engine_small->jobs), "engine",
+                             finishesOf(ref.jobs), "reference")) {
           failures.push_back({"mpcp", "fault:cross-reference", *diff});
         }
       }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -136,6 +137,148 @@ TEST(SweepRunner, MapWithZeroSeedsReturnsEmpty) {
   const auto rows =
       runner.map(0, 7, [](int, Rng& rng) { return rng.next(); });
   EXPECT_TRUE(rows.empty());
+}
+
+// SweepRunner::stream: the ordered streaming map behind the fuzz loop.
+
+std::uint64_t seedRow(int s, Rng& rng) {
+  return rng.next() ^ static_cast<std::uint64_t>(s);
+}
+
+/// Streams `seeds` seedRow()s, collecting what fold sees, in order.
+std::vector<std::uint64_t> streamed(SweepRunner& runner, int seeds) {
+  std::vector<std::uint64_t> folded;
+  runner.stream(
+      seeds, 99, [] { return true; }, seedRow,
+      [&](int s, std::uint64_t&& row) {
+        EXPECT_EQ(s, static_cast<int>(folded.size()));
+        folded.push_back(row);
+        return true;
+      });
+  return folded;
+}
+
+TEST(SweepRunnerStream, FoldsEverySeedInOrderAtAnyThreadCount) {
+  SweepRunner one(1);
+  const std::vector<std::uint64_t> expected = one.map(1000, 99, seedRow);
+  for (int threads : {1, 2, 8}) {
+    SweepRunner runner(threads);
+    EXPECT_EQ(streamed(runner, 1000), expected) << threads << " threads";
+  }
+  SweepRunner runner(4);
+  EXPECT_TRUE(streamed(runner, 0).empty());
+}
+
+TEST(SweepRunnerStream, FoldsOnTheCallingThreadOnly) {
+  SweepRunner runner(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  int folds = 0;
+  runner.stream(
+      300, 1, [] { return true; }, [](int s, Rng&) { return s; },
+      [&](int, int&&) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++folds;
+        return true;
+      });
+  EXPECT_EQ(folds, 300);
+}
+
+TEST(SweepRunnerStream, ClaimsStayWithinTheReorderWindow) {
+  SweepRunner runner(4);
+  const int window = runner.streamWindow();
+  std::atomic<int> folded{0};
+  std::atomic<int> beyond{0};
+  runner.stream(
+      window * 6, 1, [] { return true; },
+      [&](int s, Rng&) {
+        // Seed 0 is slow, so the others pile up behind it. A claim needs
+        // s < next_fold + window, and the fold under way may not have
+        // counted itself yet.
+        if (s == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (s >= folded.load() + window + 1) beyond.fetch_add(1);
+        return s;
+      },
+      [&](int, int&&) {
+        folded.fetch_add(1);
+        return true;
+      });
+  EXPECT_EQ(folded.load(), window * 6);
+  EXPECT_EQ(beyond.load(), 0);
+}
+
+TEST(SweepRunnerStream, RefusedClaimStillFoldsAContiguousPrefix) {
+  for (int threads : {1, 4}) {
+    SweepRunner runner(threads);
+    int claims = 0;  // may_claim calls are serialized
+    std::vector<int> folded;
+    runner.stream(
+        500, 1, [&] { return ++claims <= 137; },
+        [](int s, Rng&) { return s; },
+        [&](int s, int&& row) {
+          EXPECT_EQ(s, row);
+          folded.push_back(s);
+          return true;
+        });
+    ASSERT_EQ(folded.size(), 137u) << threads << " threads";
+    for (int i = 0; i < 137; ++i) {
+      EXPECT_EQ(folded[static_cast<std::size_t>(i)], i);
+    }
+  }
+}
+
+TEST(SweepRunnerStream, FoldReturningFalseEndsTheStream) {
+  SweepRunner runner(4);
+  std::atomic<int> ran{0};
+  int last = -1;
+  runner.stream(
+      10'000, 1, [] { return true; },
+      [&](int s, Rng&) {
+        ran.fetch_add(1);
+        return s;
+      },
+      [&](int s, int&&) {
+        last = s;
+        return s < 20;
+      });
+  EXPECT_EQ(last, 20);
+  EXPECT_LE(ran.load(), 21 + runner.streamWindow());
+}
+
+TEST(SweepRunnerStream, LowestThrowingSeedIsRethrownAfterItsPrefix) {
+  for (int threads : {1, 4}) {
+    SweepRunner runner(threads);
+    std::vector<int> folded;
+    try {
+      runner.stream(
+          400, 1, [] { return true; },
+          [](int s, Rng&) {
+            if (s == 37) throw std::runtime_error("low");
+            if (s == 300) throw std::runtime_error("high");
+            return s;
+          },
+          [&](int s, int&&) {
+            folded.push_back(s);
+            return true;
+          });
+      ADD_FAILURE() << "expected an exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "low");
+    }
+    EXPECT_EQ(folded.size(), 37u) << threads << " threads";
+    // The runner stays usable.
+    EXPECT_EQ(streamed(runner, 50).size(), 50u);
+  }
+}
+
+TEST(SweepRunnerStream, ExceptionFromFoldPropagates) {
+  SweepRunner runner(4);
+  EXPECT_THROW(runner.stream(
+                   200, 1, [] { return true; }, [](int s, Rng&) { return s; },
+                   [](int s, int&&) -> bool {
+                     if (s == 5) throw std::runtime_error("fold");
+                     return true;
+                   }),
+               std::runtime_error);
 }
 
 /// End-to-end through the bench pipeline: generate a workload, run the
