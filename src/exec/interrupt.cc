@@ -5,22 +5,25 @@
 
 #include <array>
 #include <atomic>
-#include <csignal>
 
 namespace mpcp::exec {
 
 namespace {
 
 // Everything the handler touches is lock-free and async-signal-safe:
-// sig_atomic_t flags plus an atomic pid table scanned with kill(2).
-volatile std::sig_atomic_t g_signal = 0;
+// lock-free atomic flags plus an atomic pid table scanned with kill(2).
+// The flag is an atomic, not a volatile sig_atomic_t, because pool
+// threads poll it through interrupted() while the handler writes it.
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the signal handler needs a lock-free flag");
+std::atomic<int> g_signal{0};
 std::atomic<int> g_signal_count{0};
 
 constexpr std::size_t kMaxWorkers = 512;
 std::array<std::atomic<pid_t>, kMaxWorkers> g_workers{};
 
 void handleSignal(int sig) {
-  g_signal = sig;
+  g_signal.store(sig);
   killRegisteredWorkers(SIGKILL);
   if (g_signal_count.fetch_add(1, std::memory_order_relaxed) >= 1) {
     // Second Ctrl-C: the graceful path is stuck — bail out now.
@@ -48,10 +51,10 @@ void ignoreSigpipe() {
   sigaction(SIGPIPE, &sa, nullptr);
 }
 
-bool interrupted() { return g_signal != 0; }
+bool interrupted() { return g_signal.load() != 0; }
 
 int interruptExitCode() {
-  const int sig = g_signal;
+  const int sig = g_signal.load();
   return sig == 0 ? 0 : 128 + sig;
 }
 

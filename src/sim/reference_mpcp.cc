@@ -58,6 +58,11 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
   }
 
   std::deque<RJob> jobs;  // stable addresses
+  // Unfinished jobs in release order, compacted once per tick: every
+  // per-tick scan walks this instead of every job ever released, so a
+  // tick costs O(live jobs). Jobs finishing mid-tick stay until the next
+  // compaction; every scan already skips `finished`.
+  std::vector<RJob*> live;
   std::map<std::int32_t, GlobalSem> globals;
   std::uint64_t seq = 0;
   // Jobs whose local lock attempt was ceiling-blocked, per processor, in
@@ -77,18 +82,6 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
   const auto opsOf = [&](const RJob& j) -> const std::vector<Op>& {
     return j.task->body.ops();
   };
-  // Locally-held local semaphores per processor: derived fresh on demand.
-  const auto localHolders = [&](int p) {
-    std::vector<std::pair<ResourceId, RJob*>> held;
-    for (RJob& j : jobs) {
-      if (j.finished || j.task->processor.value() != p) continue;
-      for (ResourceId r : j.held) {
-        if (!sys.isGlobal(r)) held.emplace_back(r, &j);
-      }
-    }
-    return held;
-  };
-
   // Effective priority: base, PCP inheritance (computed by caller via the
   // blocked-map), gcs elevation from held globals.
   const auto elevationOf = [&](const RJob& j) {
@@ -123,11 +116,88 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
     return eff.duration;
   };
 
+  // Per-tick scratch, hoisted out of the tick loop.
+  std::vector<RJob*> runner(static_cast<std::size_t>(procs), nullptr);
+  std::vector<RJob*> candidates;
+
+  // Declarative PCP inheritance, recomputed from scratch on demand: a
+  // job whose pending local lock fails the ceiling test donates its
+  // priority to the blocking holder, transitively.
+  std::map<const RJob*, Priority> inherited;
+  const auto effective = [&](const RJob& j) {
+    Priority pr = j.task->priority;
+    const auto it = inherited.find(&j);
+    if (it != inherited.end()) pr = std::max(pr, it->second);
+    return std::max(pr, elevationOf(j));
+  };
+  // Highest-ceiling local semaphore held by someone other than j on
+  // processor p, derived fresh from the live jobs' held sets; returns
+  // the holder (nullptr if no such semaphore).
+  const auto blockerFor = [&](int p, const RJob& j,
+                              Priority* ceiling) -> RJob* {
+    RJob* blocker = nullptr;
+    *ceiling = kPriorityFloor;
+    for (RJob* h : live) {
+      if (h == &j || h->finished || h->task->processor.value() != p) {
+        continue;
+      }
+      for (ResourceId r : h->held) {
+        if (sys.isGlobal(r)) continue;
+        const Priority c = tables.ceiling(r);
+        if (blocker == nullptr || c > *ceiling) {
+          blocker = h;
+          *ceiling = c;
+        }
+      }
+    }
+    return blocker;
+  };
+  const auto recomputeInheritance = [&] {
+    inherited.clear();
+    // Only parked jobs donate, and a job is parked exactly while it sits
+    // in its processor's parked queue: with every queue empty there is
+    // nothing to derive.
+    if (std::all_of(parked_local_q.begin(), parked_local_q.end(),
+                    [](const std::vector<RJob*>& q) { return q.empty(); })) {
+      return;
+    }
+    bool inh_changed = true;
+    while (inh_changed) {
+      inh_changed = false;
+      for (RJob* jp : live) {
+        RJob& j = *jp;
+        if (j.finished || j.waiting_global || j.wake_at >= 0) continue;
+        // Only a job that actually attempted the lock and parked donates
+        // its priority (the engine's LocalPcp sets inheritance when the
+        // attempt blocks, not when a lock op is merely pending) — eager
+        // donation would boost the holder before the waiter's attempt
+        // and reorder same-priority FIFO tie-breaks.
+        if (!j.parked_local) continue;
+        const auto& ops = opsOf(j);
+        if (j.op >= ops.size()) continue;
+        const auto* l = std::get_if<LockOp>(&ops[j.op]);
+        if (l == nullptr || sys.isGlobal(l->resource)) continue;
+        Priority top_ceiling = kPriorityFloor;
+        RJob* blocker =
+            blockerFor(j.task->processor.value(), j, &top_ceiling);
+        if (blocker != nullptr && effective(j) <= top_ceiling) {
+          const Priority donated = effective(j);
+          Priority& slot = inherited[blocker];
+          if (donated > slot && donated > blocker->task->priority) {
+            slot = donated;
+            inh_changed = true;
+          }
+        }
+      }
+    }
+  };
+
   // Runs through `horizon` inclusive: the final iteration performs the
   // zero-time fixpoint only (no execution), mirroring the engine's
   // final settle() so completions landing exactly on the horizon count.
   for (Time now = 0; now <= horizon; ++now) {
     const bool final_instant = now == horizon;
+    std::erase_if(live, [](const RJob* j) { return j->finished; });
     // 1. Releases.
     for (const Task& t : sys.tasks()) {
       const auto ti = static_cast<std::size_t>(t.id.value());
@@ -140,6 +210,7 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
         j.deadline = nominal + t.relative_deadline;
         j.eligible_seq = ++seq;
         jobs.push_back(j);
+        live.push_back(&jobs.back());
       };
       // A jitter-deferred release comes due independently of nr; its
       // deadline stays tied to the nominal release time.
@@ -164,10 +235,10 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
       }
     }
     // 2. Voluntary wakes.
-    for (RJob& j : jobs) {
-      if (!j.finished && j.wake_at >= 0 && j.wake_at <= now) {
-        j.wake_at = -1;
-        j.eligible_seq = ++seq;
+    for (RJob* j : live) {
+      if (j->wake_at >= 0 && j->wake_at <= now) {
+        j->wake_at = -1;
+        j->eligible_seq = ++seq;
       }
     }
 
@@ -232,66 +303,7 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
     //    nothing changes. Processor visit order mirrors the engine's
     //    settle(): each processor drains its top candidate's zero-time
     //    ops before moving on; the pass repeats until stable.
-    std::vector<RJob*> runner(static_cast<std::size_t>(procs), nullptr);
-
-    // Declarative PCP inheritance, recomputed from scratch on demand: a
-    // job whose pending local lock fails the ceiling test donates its
-    // priority to the blocking holder, transitively.
-    std::map<const RJob*, Priority> inherited;
-    const auto effective = [&](const RJob& j) {
-      Priority pr = j.task->priority;
-      const auto it = inherited.find(&j);
-      if (it != inherited.end()) pr = std::max(pr, it->second);
-      return std::max(pr, elevationOf(j));
-    };
-    // Highest-ceiling local semaphore held by someone other than j on
-    // processor p; returns the holder (nullptr if no such semaphore).
-    const auto blockerFor = [&](int p, const RJob& j,
-                                Priority* ceiling) -> RJob* {
-      RJob* blocker = nullptr;
-      *ceiling = kPriorityFloor;
-      for (const auto& [r, holder] : localHolders(p)) {
-        if (holder == &j) continue;
-        const Priority c = tables.ceiling(r);
-        if (blocker == nullptr || c > *ceiling) {
-          blocker = holder;
-          *ceiling = c;
-        }
-      }
-      return blocker;
-    };
-    const auto recomputeInheritance = [&] {
-      inherited.clear();
-      bool inh_changed = true;
-      while (inh_changed) {
-        inh_changed = false;
-        for (RJob& j : jobs) {
-          if (j.finished || j.waiting_global || j.wake_at >= 0) continue;
-          // Only a job that actually attempted the lock and parked donates
-          // its priority (the engine's LocalPcp sets inheritance when the
-          // attempt blocks, not when a lock op is merely pending) — eager
-          // donation would boost the holder before the waiter's attempt
-          // and reorder same-priority FIFO tie-breaks.
-          if (!j.parked_local) continue;
-          const auto& ops = opsOf(j);
-          if (j.op >= ops.size()) continue;
-          const auto* l = std::get_if<LockOp>(&ops[j.op]);
-          if (l == nullptr || sys.isGlobal(l->resource)) continue;
-          Priority top_ceiling = kPriorityFloor;
-          RJob* blocker =
-              blockerFor(j.task->processor.value(), j, &top_ceiling);
-          if (blocker != nullptr && effective(j) <= top_ceiling) {
-            const Priority donated = effective(j);
-            Priority& slot = inherited[blocker];
-            if (donated > slot && donated > blocker->task->priority) {
-              slot = donated;
-              inh_changed = true;
-            }
-          }
-        }
-      }
-    };
-
+    std::fill(runner.begin(), runner.end(), nullptr);
     bool pass_changed = true;
     while (pass_changed) {
       pass_changed = false;
@@ -302,12 +314,12 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
         {
           recomputeInheritance();
           // Candidates on p, best-first by effective priority then FCFS.
-          std::vector<RJob*> candidates;
-          for (RJob& j : jobs) {
-            if (j.finished || j.waiting_global || j.wake_at >= 0) continue;
-            if (j.parked_local) continue;  // out of the ready set until woken
-            if (j.task->processor.value() != p) continue;
-            candidates.push_back(&j);
+          candidates.clear();
+          for (RJob* j : live) {
+            if (j->finished || j->waiting_global || j->wake_at >= 0) continue;
+            if (j->parked_local) continue;  // out of the ready set until woken
+            if (j->task->processor.value() != p) continue;
+            candidates.push_back(j);
           }
           std::sort(candidates.begin(), candidates.end(),
                     [&](RJob* a, RJob* b) {
@@ -358,13 +370,13 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
                 if (progressed) {
                   recomputeInheritance();
                   bool preempted = false;
-                  for (RJob& o : jobs) {
-                    if (&o == j || o.finished || o.waiting_global ||
-                        o.wake_at >= 0 || o.parked_local) {
+                  for (const RJob* o : live) {
+                    if (o == j || o->finished || o->waiting_global ||
+                        o->wake_at >= 0 || o->parked_local) {
                       continue;
                     }
-                    if (o.task->processor.value() != p) continue;
-                    if (effective(o) > effective(*j)) {
+                    if (o->task->processor.value() != p) continue;
+                    if (effective(*o) > effective(*j)) {
                       preempted = true;
                       break;
                     }
@@ -500,8 +512,8 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
     }
 
     // 4. Deadline overrun visibility (parity with the engine's policy).
-    for (RJob& j : jobs) {
-      if (!j.finished && now > j.deadline) result.any_deadline_miss = true;
+    for (const RJob* j : live) {
+      if (!j->finished && now > j->deadline) result.any_deadline_miss = true;
     }
 
     // 5. Execute one tick per processor.
@@ -526,10 +538,10 @@ ReferenceResult simulateMpcpReference(const TaskSystem& sys, Time horizon,
   }
 
   // Jobs still unfinished after the final fixpoint are censored.
-  for (RJob& j : jobs) {
-    if (j.finished) continue;
-    result.jobs.push_back({j.id, j.release, -1});
-    if (j.deadline <= horizon) result.any_deadline_miss = true;
+  for (const RJob* j : live) {
+    if (j->finished) continue;
+    result.jobs.push_back({j->id, j->release, -1});
+    if (j->deadline <= horizon) result.any_deadline_miss = true;
   }
 
   // Deterministic output order.

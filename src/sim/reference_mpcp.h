@@ -11,8 +11,8 @@
 // Only the *rules* (Section 5's protocol) are shared, which is exactly
 // what a differential test should hold constant.
 //
-// O(horizon x jobs) instead of the engine's event-driven complexity, so
-// use it on small horizons.
+// Costs O(horizon x live jobs), not the engine's event-driven complexity:
+// every tick is visited, but each tick scans only the unfinished jobs.
 #pragma once
 
 #include <vector>

@@ -52,6 +52,9 @@ ReferenceResult simulateSpinReference(const TaskSystem& sys, Time horizon,
   }
 
   std::deque<SJob> jobs;  // stable addresses
+  // Unfinished jobs in release order, compacted once per tick so every
+  // per-tick scan costs O(live jobs); see reference_mpcp.
+  std::vector<SJob*> live;
   std::map<std::int32_t, SpinSem> sems;
   std::uint64_t seq = 0;
 
@@ -94,10 +97,15 @@ ReferenceResult simulateSpinReference(const TaskSystem& sys, Time horizon,
     return next;
   };
 
+  // Per-tick scratch, hoisted out of the tick loop.
+  std::vector<SJob*> runner(static_cast<std::size_t>(procs), nullptr);
+  std::vector<SJob*> candidates;
+
   // Runs through `horizon` inclusive: the final iteration performs the
   // zero-time fixpoint only, mirroring the engine's final settle().
   for (Time now = 0; now <= horizon; ++now) {
     const bool final_instant = now == horizon;
+    std::erase_if(live, [](const SJob* j) { return j->finished; });
     // 1. Releases.
     for (const Task& t : sys.tasks()) {
       const auto ti = static_cast<std::size_t>(t.id.value());
@@ -110,30 +118,31 @@ ReferenceResult simulateSpinReference(const TaskSystem& sys, Time horizon,
         j.deadline = nr + t.relative_deadline;
         j.eligible_seq = ++seq;
         jobs.push_back(j);
+        live.push_back(&jobs.back());
         nr += t.period;
       }
     }
     // 2. Voluntary wakes.
-    for (SJob& j : jobs) {
-      if (!j.finished && j.wake_at >= 0 && j.wake_at <= now) {
-        j.wake_at = -1;
-        j.eligible_seq = ++seq;
+    for (SJob* j : live) {
+      if (j->wake_at >= 0 && j->wake_at <= now) {
+        j->wake_at = -1;
+        j->eligible_seq = ++seq;
       }
     }
 
     // 3. Scheduling fixpoint: pick per-processor runners, draining
     //    zero-time ops until nothing changes — same pass structure as
     //    reference_mpcp (one pick + drain per processor per pass).
-    std::vector<SJob*> runner(static_cast<std::size_t>(procs), nullptr);
+    std::fill(runner.begin(), runner.end(), nullptr);
     bool pass_changed = true;
     while (pass_changed) {
       pass_changed = false;
       for (int p = 0; p < procs; ++p) {
-        std::vector<SJob*> candidates;
-        for (SJob& j : jobs) {
-          if (j.finished || j.wake_at >= 0) continue;
-          if (j.task->processor.value() != p) continue;
-          candidates.push_back(&j);  // spinners included: they burn the CPU
+        candidates.clear();
+        for (SJob* j : live) {
+          if (j->finished || j->wake_at >= 0) continue;
+          if (j->task->processor.value() != p) continue;
+          candidates.push_back(j);  // spinners included: they burn the CPU
         }
         std::sort(candidates.begin(), candidates.end(),
                   [&](SJob* a, SJob* b) {
@@ -182,10 +191,10 @@ ReferenceResult simulateSpinReference(const TaskSystem& sys, Time horizon,
               // job preempts before the next P().
               if (progressed) {
                 bool preempted = false;
-                for (SJob& o : jobs) {
-                  if (&o == j || o.finished || o.wake_at >= 0) continue;
-                  if (o.task->processor.value() != p) continue;
-                  if (effective(o) > effective(*j)) {
+                for (const SJob* o : live) {
+                  if (o == j || o->finished || o->wake_at >= 0) continue;
+                  if (o->task->processor.value() != p) continue;
+                  if (effective(*o) > effective(*j)) {
                     preempted = true;
                     break;
                   }
@@ -240,8 +249,8 @@ ReferenceResult simulateSpinReference(const TaskSystem& sys, Time horizon,
     }
 
     // 4. Deadline overrun visibility (parity with the engine's policy).
-    for (SJob& j : jobs) {
-      if (!j.finished && now > j.deadline) result.any_deadline_miss = true;
+    for (const SJob* j : live) {
+      if (!j->finished && now > j->deadline) result.any_deadline_miss = true;
     }
 
     // 5. Execute one tick per processor. A chosen spinner sits at its
@@ -261,10 +270,10 @@ ReferenceResult simulateSpinReference(const TaskSystem& sys, Time horizon,
   }
 
   // Jobs still unfinished after the final fixpoint are censored.
-  for (SJob& j : jobs) {
-    if (j.finished) continue;
-    result.jobs.push_back({j.id, j.release, -1});
-    if (j.deadline <= horizon) result.any_deadline_miss = true;
+  for (const SJob* j : live) {
+    if (j->finished) continue;
+    result.jobs.push_back({j->id, j->release, -1});
+    if (j->deadline <= horizon) result.any_deadline_miss = true;
   }
 
   std::sort(result.jobs.begin(), result.jobs.end(),

@@ -2,13 +2,18 @@
 // the independent tick-stepped reference implementation. Identical
 // finish times for every job across random workloads and the paper's
 // Example 3 — any divergence flags a mechanical bug in one of the two.
+// The long-horizon case also runs the spin protocols against their own
+// tick-stepped reference.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "core/simulate.h"
+#include "fuzz/fuzzer.h"
 #include "sim/reference_mpcp.h"
+#include "sim/reference_spin.h"
 #include "taskgen/generator.h"
 #include "taskgen/paper_examples.h"
 
@@ -16,10 +21,14 @@ namespace mpcp {
 namespace {
 
 void expectSameSchedule(const TaskSystem& sys, Time horizon,
-                        const char* label) {
-  const SimResult engine = simulate(ProtocolKind::kMpcp, sys,
-                                    {.horizon = horizon});
-  const ReferenceResult reference = simulateMpcpReference(sys, horizon);
+                        const char* label,
+                        ProtocolKind kind = ProtocolKind::kMpcp) {
+  const SimResult engine = simulate(kind, sys, {.horizon = horizon});
+  const ReferenceResult reference =
+      kind == ProtocolKind::kMpcp
+          ? simulateMpcpReference(sys, horizon)
+          : simulateSpinReference(sys, horizon,
+                                  kind == ProtocolKind::kSpinPrio);
 
   std::map<std::pair<std::int32_t, std::int64_t>, Time> engine_finish;
   for (const JobRecord& jr : engine.jobs) {
@@ -54,7 +63,7 @@ TEST(Differential, RandomWorkloadsMatchReference) {
   p.tasks_per_processor = 3;
   p.utilization_per_processor = 0.5;
   p.period_min = 20;
-  p.period_max = 200;   // small periods: the O(horizon) oracle is slow
+  p.period_max = 200;   // short periods: many jobs and contention per tick
   p.period_granularity = 10;
   p.global_resources = 2;
   p.global_sharing_prob = 0.9;
@@ -107,6 +116,33 @@ TEST(Differential, OverloadedSystemsStillAgree) {
     expectSameSchedule(sys, 800,
                        ("overload seed " + std::to_string(seed)).c_str());
   }
+}
+
+TEST(Differential, LongHorizonFuzzDrawAgree) {
+  // The fuzzer's own parameter draw at the fuzz horizon cap, far past the
+  // default differential horizon. Every third system has its utilization
+  // pushed to the schedulability cliff, so backlogged, deadline-missing
+  // schedules (the reference's worst case) are covered too.
+  constexpr Time kHorizon = 20'000;
+  int overloaded = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 1'009);
+    WorkloadParams p = fuzz::drawWorkloadParams(rng);
+    if (seed % 3 == 0) p.utilization_per_processor = 0.95;
+    const TaskSystem sys = generateWorkload(p, rng);
+    for (const ProtocolKind kind : {ProtocolKind::kMpcp,
+                                    ProtocolKind::kSpinFifo,
+                                    ProtocolKind::kSpinPrio}) {
+      const std::string label =
+          "fuzz-draw seed " + std::to_string(seed) + " " + toString(kind);
+      expectSameSchedule(sys, kHorizon, label.c_str(), kind);
+    }
+    if (simulate(ProtocolKind::kMpcp, sys, {.horizon = kHorizon})
+            .any_deadline_miss) {
+      ++overloaded;
+    }
+  }
+  EXPECT_GT(overloaded, 0) << "no drawn system missed a deadline";
 }
 
 }  // namespace

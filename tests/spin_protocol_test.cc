@@ -168,7 +168,7 @@ TEST(Spin, RandomWorkloadsMatchReference) {
   p.tasks_per_processor = 3;
   p.utilization_per_processor = 0.5;
   p.period_min = 20;
-  p.period_max = 200;  // small periods: the O(horizon) oracle is slow
+  p.period_max = 200;  // short periods: many jobs and contention per tick
   p.period_granularity = 10;
   p.global_resources = 2;
   p.global_sharing_prob = 0.9;
