@@ -11,7 +11,7 @@
 #include "analysis/schedulability.h"
 #include "core/blocking.h"
 #include "core/hybrid_blocking.h"
-#include "core/protocol_factory.h"
+#include "core/protocol_registry.h"
 #include "model/task_system.h"
 
 namespace mpcp {

@@ -92,6 +92,8 @@ const ProtocolSpec& protocolSpec(ProtocolKind kind) {
                     std::to_string(static_cast<int>(kind)));
 }
 
+const char* toString(ProtocolKind kind) { return protocolSpec(kind).name; }
+
 const ProtocolSpec* findProtocol(std::string_view name) {
   for (const ProtocolSpec& spec : protocolRegistry()) {
     if (spec.name == name) return &spec;

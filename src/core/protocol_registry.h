@@ -1,10 +1,10 @@
 // The protocol registry: the single name-keyed source of truth for every
 // synchronization protocol the repo speaks. One ProtocolSpec per
 // protocol carries the canonical name, the ProtocolKind, a factory, and
-// capability flags; the factory shims in core/protocol_factory.h, the
-// CLI's --protocol parser, the analyzer, and the fuzzer's protocol list
-// all delegate here, so they can never disagree about which protocols
-// exist or what they are called.
+// capability flags; the engine's protocol construction, the CLI's
+// --protocol parser, the analyzer, and the fuzzer's protocol list all
+// resolve here, so they can never disagree about which protocols exist
+// or what they are called.
 //
 // Registration is a single static table in protocol_registry.cc rather
 // than scattered static-initializer self-registration: the table keeps
@@ -23,11 +23,22 @@
 
 #include "analysis/ceilings.h"
 #include "core/hybrid_protocol.h"
-#include "core/protocol_factory.h"
 #include "model/task_system.h"
 #include "sim/protocol.h"
 
 namespace mpcp {
+
+enum class ProtocolKind {
+  kNone,      ///< plain semaphores, FIFO queues, no priority management
+  kNonePrio,  ///< plain semaphores with priority-ordered queues
+  kPip,       ///< priority inheritance (cross-processor)
+  kPcp,       ///< uniprocessor priority ceiling protocol (no globals)
+  kMpcp,      ///< the paper's shared-memory protocol
+  kDpcp,      ///< message-based baseline [8]
+  kHybrid,    ///< per-resource MPCP/DPCP mix (canonical id-parity policy)
+  kSpinFifo,  ///< MSRP-style non-preemptive FIFO spin locks
+  kSpinPrio,  ///< non-preemptive priority-ordered spin locks
+};
 
 struct ProtocolSpec {
   ProtocolKind kind;
@@ -35,6 +46,8 @@ struct ProtocolSpec {
   const char* summary;  ///< one-line description for --help and docs
   bool analyzable;      ///< has a bounded-blocking analysis in src/analysis
   bool suspension_based;  ///< blocked jobs suspend (vs busy-wait/spin)
+  /// Constructs the protocol. `tables` must outlive the returned object
+  /// and must have been computed from `system`.
   std::unique_ptr<SyncProtocol> (*make)(const TaskSystem& system,
                                         const PriorityTables& tables);
 };
@@ -44,6 +57,9 @@ struct ProtocolSpec {
 
 /// The spec for `kind`. Every enumerator is registered.
 [[nodiscard]] const ProtocolSpec& protocolSpec(ProtocolKind kind);
+
+/// Canonical name of `kind` ("mpcp", "spin-fifo", ...).
+[[nodiscard]] const char* toString(ProtocolKind kind);
 
 /// Looks a protocol up by canonical name; nullptr when unknown.
 [[nodiscard]] const ProtocolSpec* findProtocol(std::string_view name);

@@ -5,7 +5,7 @@ namespace mpcp {
 SimResult simulate(ProtocolKind kind, const TaskSystem& system,
                    SimConfig config) {
   PriorityTables tables(system);
-  auto protocol = makeProtocol(kind, system, tables);
+  auto protocol = protocolSpec(kind).make(system, tables);
   Engine engine(system, *protocol, config);
   return engine.run();
 }

@@ -2,7 +2,7 @@
 #pragma once
 
 #include "core/hybrid_protocol.h"
-#include "core/protocol_factory.h"
+#include "core/protocol_registry.h"
 #include "sim/engine.h"
 #include "sim/result.h"
 

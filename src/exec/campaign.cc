@@ -1,12 +1,8 @@
 #include "exec/campaign.h"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <optional>
 
-#include "common/check.h"
 #include "common/strf.h"
 #include "exec/interrupt.h"
 #include "exec/journal.h"
@@ -21,106 +17,73 @@ CampaignOutcome runCampaign(
     exp::SweepRunner& runner, int seeds, std::uint64_t seed_base,
     const CampaignOptions& options,
     const std::function<std::string(int, Rng&)>& fn) {
-  const auto n = static_cast<std::size_t>(std::max(0, seeds));
   CampaignOutcome out;
-  out.payloads.resize(n);
+  out.payloads.resize(static_cast<std::size_t>(std::max(0, seeds)));
 
   // Journal setup: load + validate before dispatching anything.
-  std::unique_ptr<CampaignJournal> journal;
-  std::map<std::string, std::string> completed;
-  if (!options.journal_path.empty()) {
-    const JournalLoad load = loadJournalFile(options.journal_path);
-    if (!load.empty() && !options.resume) {
-      throw ConfigError("journal '" + options.journal_path +
-                        "' already has records; pass --resume to continue "
-                        "it or remove the file to start over");
-    }
-    if (options.resume && !load.meta.empty() &&
-        !options.config_fingerprint.empty() &&
-        load.meta != options.config_fingerprint) {
-      throw ConfigError(
-          "journal '" + options.journal_path +
-          "' was recorded under a different configuration\n  journal: " +
-          load.meta + "\n  current: " + options.config_fingerprint);
-    }
-    out.exec.journal_corrupt_lines = load.corrupt_lines;
-    completed = load.completed();
-    journal = std::make_unique<CampaignJournal>(options.journal_path);
-    if (load.meta.empty() && !options.config_fingerprint.empty()) {
-      journal->append(RecordKind::kMeta, "config",
-                      options.config_fingerprint);
-    }
-  }
-
-  // Satisfy already-completed seeds from the journal; collect the rest.
-  std::vector<int> pending;
-  pending.reserve(n);
-  for (int s = 0; s < seeds; ++s) {
-    const auto it = completed.find(runKey(seed_base, s));
-    if (it != completed.end()) {
-      out.payloads[static_cast<std::size_t>(s)] = it->second;
-      ++out.exec.resumed_skips;
-    } else {
-      pending.push_back(s);
-    }
-  }
+  const OpenedJournal opened = openCampaignJournal(
+      options.journal_path, options.resume, options.config_fingerprint);
+  CampaignJournal* journal = opened.journal.get();
+  out.exec.journal_corrupt_lines = opened.corrupt_lines;
 
   exp::InThreadExecutor in_thread;
   exp::RunExecutor& base =
       options.executor != nullptr ? *options.executor : in_thread;
   RetryingExecutor retrying(base, options.retry);
 
-  std::mutex fold_mu;  // guards failures + counters (journal locks itself)
-  std::atomic<bool> saw_interrupt{false};
-
-  runner.forEach(static_cast<std::int64_t>(pending.size()),
-                 [&](std::int64_t i) {
-    const int s = pending[static_cast<std::size_t>(i)];
-    if (interrupted()) {
-      saw_interrupt.store(true, std::memory_order_relaxed);
-      return;  // no new dispatches; the key stays pending for --resume
-    }
-    const std::string key = runKey(seed_base, s);
-    if (journal) journal->append(RecordKind::kStart, key, "");
-    {
-      std::lock_guard<std::mutex> lock(fold_mu);
-      ++out.exec.dispatched;
-    }
-
-    const exp::ExecResult r = retrying.execute([&, s] {
-      Rng rng = exp::SweepRunner::rngFor(seed_base, s);
-      return fn(s, rng);
-    });
-
-    if (r.ok) {
-      if (journal) journal->append(RecordKind::kDone, key, r.payload);
-      out.payloads[static_cast<std::size_t>(s)] = r.payload;
-      std::lock_guard<std::mutex> lock(fold_mu);
-      ++out.exec.completed;
-      return;
-    }
-    if (journal) journal->append(RecordKind::kFail, key, r.error);
-    exp::RunFailure failure;
-    failure.seed = s;
-    failure.error = r.error;
-    failure.timed_out = r.timed_out;
-    failure.signal = r.signal;
-    failure.exit_code = r.exit_code;
-    failure.stderr_tail = r.stderr_tail;
-    failure.attempts = r.attempts;
-    std::lock_guard<std::mutex> lock(fold_mu);
-    ++out.exec.failed;
-    if (r.signal != 0 && !r.timed_out) ++out.exec.crashes;
-    if (r.timed_out) ++out.exec.timeouts;
-    out.failures.push_back(std::move(failure));
-  });
+  // Runs execute in the pool lanes; nullopt marks a seed the journal
+  // already completed. Only this thread folds, in seed order, so the
+  // journal is the same bytes at any thread count.
+  runner.stream(
+      seeds, seed_base, [] { return !interrupted(); },
+      [&](int s, Rng&) -> std::optional<exp::ExecResult> {
+        if (opened.completed.count(runKey(seed_base, s)) != 0) {
+          return std::nullopt;
+        }
+        return retrying.execute([&, s] {
+          Rng rng = exp::SweepRunner::rngFor(seed_base, s);
+          return fn(s, rng);
+        });
+      },
+      [&](int s, std::optional<exp::ExecResult>&& r) {
+        const std::string key = runKey(seed_base, s);
+        std::optional<std::string>& payload =
+            out.payloads[static_cast<std::size_t>(s)];
+        if (!r.has_value()) {
+          payload = opened.completed.at(key);
+          ++out.exec.resumed_skips;
+          return true;
+        }
+        ++out.exec.dispatched;
+        if (journal != nullptr) journal->append(RecordKind::kStart, key, "");
+        if (r->ok) {
+          if (journal != nullptr) {
+            journal->append(RecordKind::kDone, key, r->payload);
+          }
+          payload = std::move(r->payload);
+          ++out.exec.completed;
+          return true;
+        }
+        if (journal != nullptr) {
+          journal->append(RecordKind::kFail, key, r->error);
+        }
+        ++out.exec.failed;
+        if (r->signal != 0 && !r->timed_out) ++out.exec.crashes;
+        if (r->timed_out) ++out.exec.timeouts;
+        exp::RunFailure failure;
+        failure.seed = s;
+        failure.error = std::move(r->error);
+        failure.timed_out = r->timed_out;
+        failure.signal = r->signal;
+        failure.exit_code = r->exit_code;
+        failure.stderr_tail = std::move(r->stderr_tail);
+        failure.attempts = r->attempts;
+        out.failures.push_back(std::move(failure));
+        return true;
+      });
 
   out.exec.retries = retrying.retries();
-  out.interrupted = saw_interrupt.load() || interrupted();
-  std::sort(out.failures.begin(), out.failures.end(),
-            [](const exp::RunFailure& a, const exp::RunFailure& b) {
-              return a.seed < b.seed;
-            });
+  out.interrupted = interrupted();
   return out;
 }
 

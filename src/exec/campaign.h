@@ -1,25 +1,33 @@
-// runCampaign — the journaled, crash-isolated sweep loop (ISSUE 5).
+// runCampaign — the journaled, crash-isolated sweep loop.
 //
-// Layers the exec/ pieces under exp::SweepRunner:
+// Layers the exec/ pieces under exp::SweepRunner::stream:
 //
-//   SweepRunner (thread fan-out, seed-derived RNG streams)
+//   SweepRunner::stream (pool lanes, seed-derived RNG streams, folds
+//   │                    finished runs in seed order on the caller)
 //     └─ runCampaign: per-seed canonical key "s<derived-seed>"
-//          ├─ CampaignJournal  start/done/fail records, fsync'd
+//          ├─ CampaignJournal  start+done/fail per seed, fsync'd,
+//          │                   appended by the folding thread only
 //          ├─ RetryingExecutor capped backoff, deterministic jitter
 //          └─ RunExecutor      in-thread, or SubprocessExecutor for
 //                              crash isolation / wall+RSS ceilings
 //
+// Journal order: seeds are folded in key order, and each fold appends
+// its `start` and `done`/`fail` back to back, so the journal is the same
+// bytes at any MPCP_THREADS and equal to the fleet's canonical merge
+// (exec/fabric/fleet_campaign.h).
+//
 // Resume contract: payloads recorded as `done` are reused *verbatim* —
 // the run body is not re-executed — so any aggregate assembled from
 // CampaignOutcome::payloads in seed order is byte-identical to an
-// uninterrupted sweep. A `start` without `done`/`fail` (driver died
-// mid-run) and a `fail` (possibly environmental) are both re-run.
-// Resuming under a different configuration is caught by comparing the
-// caller's fingerprint against the journal's `meta` record.
+// uninterrupted sweep. A `fail` (possibly environmental) is re-run.
+// The journal is opened under openCampaignJournal's rule
+// (exec/journal.h): resuming needs --resume and the same fingerprint.
 //
-// Interruption contract: once exec::interrupted() is raised, no new run
-// starts; runs in flight finish (or their workers are SIGKILLed by the
-// handler) and the journal stays valid for --resume.
+// Interruption and durability: once exec::interrupted() is raised, no
+// new seed is claimed; seeds already claimed finish (or their workers
+// are SIGKILLed by the handler) and are folded. A row becomes durable
+// when it is folded; a row that finished but was never folded (the
+// driver died first) is re-run on resume.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +61,7 @@ struct CampaignOutcome {
   /// payloads[s] is empty exactly when seed s failed permanently, was
   /// never started (interrupt), or is still pending.
   std::vector<std::optional<std::string>> payloads;
-  std::vector<exp::RunFailure> failures;  ///< sorted by seed
+  std::vector<exp::RunFailure> failures;  ///< in seed order
   obs::ExecutorCounters exec;
   bool interrupted = false;
 
@@ -68,10 +76,10 @@ struct CampaignOutcome {
 /// Canonical run key for seed index `s` under `seed_base`.
 [[nodiscard]] std::string runKey(std::uint64_t seed_base, int s);
 
-/// Runs fn(s, rng) for every seed in [0, seeds) through the executor,
-/// journaling and resuming as configured. fn must serialize its row to a
-/// string (see exp/run_executor.h for why); with a subprocess executor it
-/// runs in the forked child.
+/// Runs fn(s, rng) for every seed in [0, seeds) through the executor on
+/// the runner's pool, journaling and resuming as configured. fn must
+/// serialize its row to a string (see exp/run_executor.h for why); with
+/// a subprocess executor it runs in the forked child.
 [[nodiscard]] CampaignOutcome runCampaign(
     exp::SweepRunner& runner, int seeds, std::uint64_t seed_base,
     const CampaignOptions& options,

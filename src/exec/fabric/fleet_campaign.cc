@@ -52,6 +52,10 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
   // Disk faults are contained, never fatal: a refused append costs
   // durability (the in-memory result survives and the final merge
   // rewrites everything), not the campaign.
+  const auto refused = [&](const ConfigError& e) {
+    ++out.exec.journal_write_errors;
+    note(strf("journal append refused (continuing): ", e.what()));
+  };
   const auto safeAppend = [&](CampaignJournal* j, RecordKind kind,
                               const std::string& key,
                               const std::string& payload) {
@@ -59,8 +63,7 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
     try {
       j->append(kind, key, payload);
     } catch (const ConfigError& e) {
-      ++out.exec.journal_write_errors;
-      note(strf("journal append refused (continuing): ", e.what()));
+      refused(e);
     }
   };
 
@@ -68,54 +71,9 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
       options.shard_dir.empty() ? ""
                                 : options.shard_dir + "/coordinator.ckpt";
 
-  // Main journal: identical validation rules to runCampaign.
-  std::unique_ptr<CampaignJournal> journal;
-  std::map<std::string, std::string> completed;
-  std::string loaded_meta;
-  if (!options.journal_path.empty()) {
-    const JournalLoad load = loadJournalFile(options.journal_path);
-    if (!load.empty() && !resume) {
-      throw ConfigError("journal '" + options.journal_path +
-                        "' already has records; pass --resume to continue "
-                        "it or remove the file to start over");
-    }
-    if (resume && !load.meta.empty() &&
-        !options.config_fingerprint.empty() &&
-        load.meta != options.config_fingerprint) {
-      throw ConfigError(
-          "journal '" + options.journal_path +
-          "' was recorded under a different configuration\n  journal: " +
-          load.meta + "\n  current: " + options.config_fingerprint);
-    }
-    out.exec.journal_corrupt_lines = load.corrupt_lines;
-    completed = load.completed();
-    loaded_meta = load.meta;
-  }
-
-  // Shard overlay (resume) or cleanup (fresh start). Shards carry no
-  // meta record — the main journal's fingerprint governs — so a fresh
-  // campaign must clear stale shards rather than inherit them.
-  if (!options.shard_dir.empty() && fs::is_directory(options.shard_dir)) {
-    for (const auto& entry : fs::directory_iterator(options.shard_dir)) {
-      if (!entry.is_regular_file() || !isShardJournal(entry.path())) {
-        continue;
-      }
-      if (!resume) {
-        std::error_code ec;
-        fs::remove(entry.path(), ec);
-        continue;
-      }
-      const JournalLoad shard = loadJournalFile(entry.path().string());
-      out.exec.journal_corrupt_lines += shard.corrupt_lines;
-      for (const JournalRecord& rec : shard.records) {
-        if (rec.kind == RecordKind::kDone) completed[rec.key] = rec.payload;
-      }
-    }
-  }
-
   // Takeover: adopt the dead coordinator's attempt bookkeeping. The
-  // shards above already gave us its completed work; the checkpoint gives
-  // us what it *charged*, so a poison key cannot restart from zero after
+  // shards below give us its completed work; the checkpoint gives us
+  // what it *charged*, so a poison key cannot restart from zero after
   // every coordinator death.
   std::map<std::string, int> initial_attempts;
   if (options.takeover && !checkpoint_path.empty()) {
@@ -140,12 +98,33 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
     note("takeover: no shard dir, so no checkpoint; resuming from journals");
   }
 
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(options.journal_path,
-                                                options.journal_io);
-    if (loaded_meta.empty() && !options.config_fingerprint.empty()) {
-      safeAppend(journal.get(), RecordKind::kMeta, "config",
-                 options.config_fingerprint);
+  // Main journal: the rule every campaign driver shares.
+  OpenedJournal opened = openCampaignJournal(
+      options.journal_path, resume, options.config_fingerprint,
+      options.journal_io, refused);
+  std::unique_ptr<CampaignJournal> journal = std::move(opened.journal);
+  std::map<std::string, std::string>& completed = opened.completed;
+  out.exec.journal_corrupt_lines = opened.corrupt_lines;
+
+  // Shard overlay (resume) or cleanup (fresh start). Shards carry no
+  // meta record — the main journal's fingerprint governs — so a fresh
+  // campaign must clear stale shards rather than inherit them.
+  if (!options.shard_dir.empty() && fs::is_directory(options.shard_dir)) {
+    for (const auto& entry : fs::directory_iterator(options.shard_dir)) {
+      std::error_code ec;
+      if (!entry.is_regular_file() || !isShardJournal(entry.path()) ||
+          (journal && fs::equivalent(entry.path(), journal->path(), ec))) {
+        continue;  // the main journal may live among the shards
+      }
+      if (!resume) {
+        fs::remove(entry.path(), ec);
+        continue;
+      }
+      const JournalLoad shard = loadJournalFile(entry.path().string());
+      out.exec.journal_corrupt_lines += shard.corrupt_lines;
+      for (const JournalRecord& rec : shard.records) {
+        if (rec.kind == RecordKind::kDone) completed[rec.key] = rec.payload;
+      }
     }
   }
 

@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "common/strf.h"
 #include "core/analyzer.h"
-#include "core/protocol_registry.h"
 #include "core/simulate.h"
 
 namespace mpcp::exec::fabric {
@@ -112,13 +111,28 @@ std::string makeSweepBodySpec(const std::string& protocol,
               " sleep-ms=", sleep_ms);
 }
 
+std::string sweepRow(ProtocolKind kind, const WorkloadParams& params,
+                     Time horizon, std::uint64_t derived_seed) {
+  Rng rng(derived_seed);
+  const TaskSystem sys = generateWorkload(params, rng);
+  const ProtocolAnalysis analysis = analyzeUnder(kind, sys);
+  SimConfig config;
+  config.horizon = horizon;
+  config.record_trace = false;
+  const SimResult r = simulate(kind, sys, config);
+  const obs::Counters& c = r.counters;
+  return strf(derived_seed, ',', analysis.report.rta_all ? 1 : 0, ',',
+              c.deadline_misses, ',', c.jobs_released, ',', c.jobs_finished,
+              ',', c.totalAcquisitions(), ',', c.totalContendedWaits(), ',',
+              c.totalHandoffs(), ',', c.preemptions, ',', c.migrations);
+}
+
 void registerSweepFleetBody() {
   registerFleetBodyKind(
       "sweep-v1", [](const std::string& spec) -> FleetBodyFn {
         const ProtocolKind kind =
             protocolKindFromName(specValue(spec, "protocol"));
-        const auto seed_base =
-            static_cast<std::uint64_t>(specInt(spec, "seed-base"));
+        (void)specInt(spec, "seed-base");  // keys carry the derived seed
         const Time horizon = specInt(spec, "horizon");
         WorkloadParams params;
         params.processors = static_cast<int>(specInt(spec, "processors"));
@@ -130,7 +144,6 @@ void registerSweepFleetBody() {
         params.cs_max = specInt(spec, "cs-max");
         params.suspension_prob = specDouble(spec, "suspend-prob");
         const int sleep_ms = static_cast<int>(specInt(spec, "sleep-ms"));
-        (void)seed_base;  // keys carry the derived seed directly
 
         return [=](const std::string& key) {
           FleetResult out;
@@ -150,23 +163,8 @@ void registerSweepFleetBody() {
           if (sleep_ms > 0) {
             std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
           }
-          // Rng(derived) == SweepRunner::rngFor(seed_base, s): identical
-          // bytes to the in-process sweep body for the same key.
-          Rng rng(derived);
-          const TaskSystem sys = generateWorkload(params, rng);
-          const ProtocolAnalysis analysis = analyzeUnder(kind, sys);
-          SimConfig config;
-          config.horizon = horizon;
-          config.record_trace = false;
-          const SimResult r = simulate(kind, sys, config);
-          const obs::Counters& c = r.counters;
           out.ok = true;
-          out.payload =
-              strf(derived, ',', analysis.report.rta_all ? 1 : 0, ',',
-                   c.deadline_misses, ',', c.jobs_released, ',',
-                   c.jobs_finished, ',', c.totalAcquisitions(), ',',
-                   c.totalContendedWaits(), ',', c.totalHandoffs(), ',',
-                   c.preemptions, ',', c.migrations);
+          out.payload = sweepRow(kind, params, horizon, derived);
           return out;
         };
       });

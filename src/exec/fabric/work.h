@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/protocol_registry.h"
 #include "taskgen/generator.h"
 
 namespace mpcp::exec::fabric {
@@ -67,8 +68,14 @@ void registerFleetBodyKind(const std::string& kind, FleetBodyFactory factory);
 [[nodiscard]] double specDouble(const std::string& spec,
                                 const std::string& key);
 
-/// The "sweep-v1" body: mirrors mpcp_cli sweep's per-seed run (generate
-/// -> RTA -> traceless simulate -> CSV row) exactly.
+/// One sweep seed as its CSV row: generate under Rng(derived_seed) (the
+/// SweepRunner convention), run RTA and a traceless simulation, format
+/// the counters. The run body of both mpcp_cli sweep and "sweep-v1".
+[[nodiscard]] std::string sweepRow(ProtocolKind kind,
+                                   const WorkloadParams& params,
+                                   Time horizon, std::uint64_t derived_seed);
+
+/// The "sweep-v1" body: sweepRow for the seed its key names.
 void registerSweepFleetBody();
 [[nodiscard]] std::string makeSweepBodySpec(const std::string& protocol,
                                             std::uint64_t seed_base,

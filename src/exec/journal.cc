@@ -337,12 +337,16 @@ std::string formatRecord(RecordKind kind, const std::string& key,
 
 void CampaignJournal::append(RecordKind kind, const std::string& key,
                              const std::string& payload) {
-  const std::string line = formatRecord(kind, key, payload);
+  writeSynced(formatRecord(kind, key, payload));
+}
 
+void CampaignJournal::endTornLine() { writeSynced("\n"); }
+
+void CampaignJournal::writeSynced(const std::string& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t off = 0;
-  while (off < line.size()) {
-    const long n = io_->write(fd_, line.data() + off, line.size() - off);
+  while (off < bytes.size()) {
+    const long n = io_->write(fd_, bytes.data() + off, bytes.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ConfigError("journal write to '" + path_ +
@@ -354,6 +358,42 @@ void CampaignJournal::append(RecordKind kind, const std::string& key,
     throw ConfigError("journal fsync on '" + path_ +
                       "' failed: " + std::strerror(errno));
   }
+}
+
+OpenedJournal openCampaignJournal(
+    const std::string& path, bool resume, const std::string& fingerprint,
+    JournalIo* io,
+    const std::function<void(const ConfigError&)>& on_append_error) {
+  OpenedJournal out;
+  if (path.empty()) return out;
+  const JournalLoad load = loadJournalFile(path);
+  const bool fresh = load.records.empty();
+  if (!fresh && !resume) {
+    throw ConfigError("journal '" + path +
+                      "' already has records; pass --resume to continue "
+                      "it or remove the file to start over");
+  }
+  if (!fresh && !fingerprint.empty() && load.meta != fingerprint) {
+    throw ConfigError(
+        "journal '" + path +
+        "' was recorded under a different configuration; --resume needs "
+        "the options it was started with\n  journal: " +
+        (load.meta.empty() ? "(no meta record)" : load.meta) +
+        "\n  current: " + fingerprint);
+  }
+  out.completed = load.completed();
+  out.corrupt_lines = load.corrupt_lines;
+  out.journal = std::make_unique<CampaignJournal>(path, io);
+  try {
+    if (load.torn_tail) out.journal->endTornLine();
+    if (fresh && !fingerprint.empty()) {
+      out.journal->append(RecordKind::kMeta, "config", fingerprint);
+    }
+  } catch (const ConfigError& e) {
+    if (!on_append_error) throw;
+    on_append_error(e);
+  }
+  return out;
 }
 
 }  // namespace mpcp::exec

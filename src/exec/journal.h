@@ -34,10 +34,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/check.h"
 
 namespace mpcp::exec {
 
@@ -65,10 +69,6 @@ struct JournalLoad {
   std::uint64_t corrupt_lines = 0;     ///< CRC/format failures (interior)
   bool torn_tail = false;              ///< final record was truncated
   std::string meta;                    ///< payload of the first meta record
-
-  [[nodiscard]] bool empty() const {
-    return records.empty() && corrupt_lines == 0 && !torn_tail;
-  }
 
   /// Final state per key: payload of the last `done` record. Keys whose
   /// last record is `start` or `fail` are absent — they must be re-run.
@@ -174,13 +174,43 @@ class CampaignJournal {
   void append(RecordKind kind, const std::string& key,
               const std::string& payload);
 
+  /// Writes a bare newline (fsync'd) so a torn final line ends before
+  /// the next record; the torn bytes then load as one corrupt line.
+  void endTornLine();
+
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  void writeSynced(const std::string& bytes);
+
   std::string path_;
   int fd_ = -1;
   JournalIo* io_ = nullptr;
   std::mutex mu_;
 };
+
+/// A campaign journal opened for append, with what it already holds.
+struct OpenedJournal {
+  std::unique_ptr<CampaignJournal> journal;  ///< null when no path given
+  std::map<std::string, std::string> completed;  ///< JournalLoad::completed()
+  std::uint64_t corrupt_lines = 0;
+};
+
+/// The journal-open rule every campaign driver shares (sweep, fleet
+/// sweep, fuzz campaign):
+///   * a journal with no valid records is fresh: it is opened for
+///     append and, given a non-empty `fingerprint`, starts with a `meta`
+///     record;
+///   * a journal with valid records is refused (ConfigError) unless
+///     `resume` is set, and refused if its `meta` record is missing or
+///     differs from a non-empty `fingerprint`.
+/// A torn final line is ended before anything is appended. An empty
+/// `path` returns an empty OpenedJournal. `on_append_error`, when set,
+/// receives a failed torn-line or `meta` write instead of it being
+/// thrown (the fleet contains disk faults).
+[[nodiscard]] OpenedJournal openCampaignJournal(
+    const std::string& path, bool resume, const std::string& fingerprint,
+    JournalIo* io = nullptr,
+    const std::function<void(const ConfigError&)>& on_append_error = {});
 
 }  // namespace mpcp::exec

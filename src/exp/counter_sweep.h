@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "core/protocol_factory.h"
+#include "core/protocol_registry.h"
 #include "exp/sweep_runner.h"
 #include "obs/counters.h"
 #include "taskgen/generator.h"

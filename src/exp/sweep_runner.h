@@ -6,8 +6,9 @@
 // runner fans them across a ThreadPool; determinism is preserved because
 //   * each seed's RNG is derived from (seed_base, s) alone — identical to
 //     the serial convention the benches always used, and
-//   * rows land in a results vector indexed by s, so any reduction that
-//     walks the vector front-to-back sees exactly the serial order.
+//   * map() lands rows in a results vector indexed by s, and stream()
+//     folds them in seed order, so any reduction sees exactly the
+//     serial order.
 // Hence results are bit-identical at any thread count (the property
 // tests/parallel_sweep_test.cc asserts).
 //
@@ -16,8 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -30,19 +29,17 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/types.h"
 #include "exp/thread_pool.h"
 
 namespace mpcp::exp {
 
-/// One run that did not produce a row (threw, was cancelled by the
-/// wall-clock watchdog, or — under a subprocess executor — crashed or
-/// was killed). Sweeps carry these alongside the surviving rows instead
-/// of aborting the whole batch.
+/// One campaign run that did not produce a row (threw, or — under a
+/// subprocess executor — crashed or was killed). Campaigns carry these
+/// alongside the surviving rows instead of aborting the whole batch.
 struct RunFailure {
   int seed = -1;
   std::string error;
-  bool timed_out = false;  ///< cancelled/killed by a wall-clock limit
+  bool timed_out = false;  ///< killed by a wall-clock limit
   // Filled by the crash-isolated executor path (src/exec): how the
   // worker process died and what it last wrote to stderr. All zero/empty
   // for in-thread failures.
@@ -50,32 +47,6 @@ struct RunFailure {
   int exit_code = 0;         ///< worker exit status when it exited
   std::string stderr_tail;   ///< last bytes of worker stderr
   int attempts = 1;          ///< attempts spent before giving up
-};
-
-/// Per-run ceilings for mapGuarded.
-struct GuardOptions {
-  /// Wall-clock ceiling per run in seconds; 0 disables the watchdog.
-  double wall_limit_s = 0;
-  /// Simulated-time ceiling the run body should apply (e.g. as
-  /// SimConfig::horizon_cap); 0 = caller's default. Forwarded verbatim in
-  /// RunGuard — the runner cannot clamp a simulation it does not build.
-  Time horizon_cap = 0;
-};
-
-/// Handed to every mapGuarded run body.
-struct RunGuard {
-  /// Raised by the watchdog once the run exceeds its wall-clock budget.
-  /// Wire into SimConfig::cancel so Engine::run() throws SimCancelled.
-  const std::atomic<bool>* cancel = nullptr;
-  Time horizon_cap = 0;  ///< GuardOptions::horizon_cap, forwarded
-};
-
-/// Result of a guarded sweep: rows[s] is empty exactly when seed s appears
-/// in `failures` (which is sorted by seed).
-template <typename R>
-struct GuardedRows {
-  std::vector<std::optional<R>> rows;
-  std::vector<RunFailure> failures;
 };
 
 class SweepRunner {
@@ -218,91 +189,6 @@ class SweepRunner {
       foldReady(lock);
     }
     if (error != nullptr) std::rethrow_exception(error);
-  }
-
-  /// Bare index fan-out for callers that derive everything themselves.
-  template <typename Fn>
-  void forEach(std::int64_t n, Fn&& fn) {
-    pool_.parallelFor(n, [&](std::int64_t i) { fn(i); });
-  }
-
-  /// Hardened map: runs fn(s, rng, guard) for every seed, converting
-  /// std::exception escapes (including SimCancelled raised through
-  /// guard.cancel by the wall-clock watchdog) into RunFailure records
-  /// instead of aborting the sweep — the remaining seeds always run.
-  /// Determinism: surviving rows are bit-identical to map() at any thread
-  /// count; only which seeds *fail* can differ when a wall-clock limit is
-  /// set (wall time is inherently nondeterministic).
-  template <typename Fn>
-  auto mapGuarded(int seeds, std::uint64_t seed_base, const GuardOptions& opt,
-                  Fn&& fn)
-      -> GuardedRows<std::invoke_result_t<Fn&, int, Rng&, const RunGuard&>> {
-    using R = std::invoke_result_t<Fn&, int, Rng&, const RunGuard&>;
-    const auto n = static_cast<std::size_t>(std::max(0, seeds));
-    GuardedRows<R> out;
-    out.rows.resize(n);
-    std::vector<std::optional<RunFailure>> fails(n);
-
-    struct Slot {
-      std::atomic<std::int64_t> start_ns{-1};
-      std::atomic<bool> cancel{false};
-      std::atomic<bool> done{false};
-    };
-    std::vector<Slot> slots(n);
-    const auto now_ns = [] {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-    };
-
-    // The watchdog polls run start stamps and raises the cancel flag of
-    // any run past its wall-clock budget; Engine::run() polls that flag
-    // every iteration and bails with SimCancelled.
-    std::atomic<bool> monitor_stop{false};
-    std::thread monitor;
-    if (opt.wall_limit_s > 0 && n > 0) {
-      const auto limit_ns =
-          static_cast<std::int64_t>(opt.wall_limit_s * 1e9);
-      monitor = std::thread([&] {
-        while (!monitor_stop.load(std::memory_order_acquire)) {
-          const std::int64_t t = now_ns();
-          for (Slot& slot : slots) {
-            const std::int64_t began =
-                slot.start_ns.load(std::memory_order_acquire);
-            if (began >= 0 && !slot.done.load(std::memory_order_acquire) &&
-                t - began >= limit_ns) {
-              slot.cancel.store(true, std::memory_order_release);
-            }
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
-    }
-
-    pool_.parallelFor(seeds, [&](std::int64_t s) {
-      Slot& slot = slots[static_cast<std::size_t>(s)];
-      slot.start_ns.store(now_ns(), std::memory_order_release);
-      Rng rng = rngFor(seed_base, static_cast<int>(s));
-      const RunGuard guard{&slot.cancel, opt.horizon_cap};
-      try {
-        out.rows[static_cast<std::size_t>(s)] =
-            fn(static_cast<int>(s), rng, guard);
-      } catch (const std::exception& e) {
-        fails[static_cast<std::size_t>(s)] =
-            RunFailure{static_cast<int>(s), e.what(),
-                       slot.cancel.load(std::memory_order_acquire)};
-      }
-      slot.done.store(true, std::memory_order_release);
-    });
-
-    if (monitor.joinable()) {
-      monitor_stop.store(true, std::memory_order_release);
-      monitor.join();
-    }
-    for (std::optional<RunFailure>& f : fails) {
-      if (f.has_value()) out.failures.push_back(std::move(*f));
-    }
-    return out;
   }
 
   /// Process-wide runner for the benches: sized by MPCP_THREADS /

@@ -6,8 +6,6 @@
 #include "common/strf.h"
 #include "exec/fabric/work.h"
 #include "exec/journal.h"
-#include "fault/plan.h"
-#include "model/serialize.h"
 
 namespace mpcp::fuzz {
 
@@ -107,7 +105,8 @@ void registerFuzzFleetBody() {
   exec::fabric::registerFleetBodyKind(
       "fuzz-v1",
       [](const std::string& spec) -> exec::fabric::FleetBodyFn {
-        const auto seed = static_cast<std::uint64_t>(
+        FuzzOptions options;
+        options.seed = static_cast<std::uint64_t>(
             exec::fabric::specInt(spec, "seed"));
         const std::string mutation_name =
             exec::fabric::specValue(spec, "mutation");
@@ -117,24 +116,17 @@ void registerFuzzFleetBody() {
           throw ConfigError("body spec has unknown mutation '" +
                             mutation_name + "'");
         }
-        OracleOptions oracle_options;
-        oracle_options.protocols =
+        options.protocols =
             splitProtocols(exec::fabric::specValue(spec, "protocols"));
-        oracle_options.mutation = *mutation;
-        oracle_options.horizon_cap =
-            exec::fabric::specInt(spec, "horizon-cap");
-        oracle_options.differential_horizon =
+        options.mutation = *mutation;
+        options.horizon_cap = exec::fabric::specInt(spec, "horizon-cap");
+        options.differential_horizon =
             exec::fabric::specInt(spec, "differential-horizon");
-
-        const bool faults = exec::fabric::specInt(spec, "faults") != 0;
-        const int fault_count =
+        options.faults = exec::fabric::specInt(spec, "faults") != 0;
+        options.fault_count =
             static_cast<int>(exec::fabric::specInt(spec, "fault-count"));
-        FaultOracleOptions fault_options;
-        fault_options.horizon_cap = oracle_options.horizon_cap;
-        fault_options.differential_horizon =
-            oracle_options.differential_horizon;
-        fault_options.grace = exec::fabric::specDouble(spec, "fault-grace");
-        fault_options.watchdog_timeout =
+        options.fault_grace = exec::fabric::specDouble(spec, "fault-grace");
+        options.fault_watchdog =
             exec::fabric::specInt(spec, "fault-watchdog");
 
         return [=](const std::string& key) {
@@ -152,29 +144,8 @@ void registerFuzzFleetBody() {
             out.payload = "malformed fuzz key '" + key + "'";
             return out;
           }
-          // Rng(seed + i): the SweepRunner convention the serial fuzz
-          // loop uses, so a fleet run of index i draws the identical
-          // system and the identical oracle verdicts.
-          Rng rng(seed + static_cast<std::uint64_t>(index));
-          const WorkloadParams params = drawWorkloadParams(rng);
-          const TaskSystem sys = generateWorkload(params, rng);
-          FuzzRunOutcome outcome;
-          if (faults) {
-            const fault::FaultPlan plan =
-                fault::FaultPlan::random(rng, sys, fault_count);
-            outcome.failures = checkSystemFaults(sys, plan, fault_options);
-            if (!outcome.failures.empty()) {
-              outcome.system_text = serializeTaskSystemToString(sys);
-              outcome.fault_plan_text = fault::formatPlan(plan, sys);
-            }
-          } else {
-            outcome.failures = checkSystem(sys, oracle_options);
-            if (!outcome.failures.empty()) {
-              outcome.system_text = serializeTaskSystemToString(sys);
-            }
-          }
           out.ok = true;
-          out.payload = encodeFuzzRunOutcome(outcome);
+          out.payload = encodeFuzzRunOutcome(fuzzRun(options, index));
           return out;
         };
       });

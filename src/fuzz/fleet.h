@@ -16,19 +16,10 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "fuzz/fuzzer.h"
-#include "fuzz/oracles.h"
 
 namespace mpcp::fuzz {
-
-/// Wire form of one fleet fuzz run (decoded from a RESULT payload).
-struct FuzzRunOutcome {
-  std::vector<OracleFailure> failures;
-  std::string system_text;      ///< serialized system when failures exist
-  std::string fault_plan_text;  ///< formatPlan() in fault mode
-};
 
 /// Spec shipped in WELCOME: everything the worker needs to reproduce a
 /// run index bit-exactly (seed, protocols, oracle knobs, fault knobs).

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <system_error>
@@ -26,15 +26,6 @@
 namespace mpcp::fuzz {
 
 namespace {
-
-/// One fuzz run: generate, oracle-check, return the failures (usually
-/// none). Runs on a SweepRunner worker; must stay self-contained.
-struct RunRow {
-  bool skipped = false;  ///< campaign resume: journal already has this key
-  std::vector<OracleFailure> failures;
-  std::string system_text;      ///< serialized system when failures exist
-  std::string fault_plan_text;  ///< formatPlan() in fault mode, same gate
-};
 
 std::string sanitizeForFilename(std::string s) {
   for (char& c : s) {
@@ -66,7 +57,45 @@ std::string campaignFingerprint(const FuzzOptions& o) {
               " fault-watchdog=", o.fault_watchdog);
 }
 
+OracleOptions oracleOptionsFor(const FuzzOptions& o) {
+  OracleOptions oracle;
+  oracle.protocols = o.protocols;
+  oracle.mutation = o.mutation;
+  oracle.horizon_cap = o.horizon_cap;
+  oracle.differential_horizon = o.differential_horizon;
+  return oracle;
+}
+
 }  // namespace
+
+FuzzRunOutcome fuzzRun(const FuzzOptions& options, int run_index) {
+  // Rng(seed + i): the SweepRunner convention, so a run index draws the
+  // same system in the stream, in a fleet worker and on replay.
+  Rng rng = exp::SweepRunner::rngFor(options.seed, run_index);
+  const WorkloadParams params = drawWorkloadParams(rng);
+  const TaskSystem sys = generateWorkload(params, rng);
+  FuzzRunOutcome out;
+  if (options.faults) {
+    const fault::FaultPlan plan =
+        fault::FaultPlan::random(rng, sys, options.fault_count);
+    FaultOracleOptions fault_options;
+    fault_options.horizon_cap = options.horizon_cap;
+    fault_options.differential_horizon = options.differential_horizon;
+    fault_options.grace = options.fault_grace;
+    fault_options.watchdog_timeout = options.fault_watchdog;
+    out.failures = checkSystemFaults(sys, plan, fault_options);
+    if (!out.failures.empty()) {
+      out.system_text = serializeTaskSystemToString(sys);
+      out.fault_plan_text = fault::formatPlan(plan, sys);
+    }
+  } else {
+    out.failures = checkSystem(sys, oracleOptionsFor(options));
+    if (!out.failures.empty()) {
+      out.system_text = serializeTaskSystemToString(sys);
+    }
+  }
+  return out;
+}
 
 std::string findingSignature(const std::string& protocol,
                              const std::string& oracle,
@@ -119,64 +148,32 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         .count();
   };
 
-  OracleOptions oracle_options;
-  oracle_options.protocols = options.protocols;
-  oracle_options.mutation = options.mutation;
-  oracle_options.horizon_cap = options.horizon_cap;
-  oracle_options.differential_horizon = options.differential_horizon;
-
-  FaultOracleOptions fault_options;
-  fault_options.horizon_cap = options.horizon_cap;
-  fault_options.differential_horizon = options.differential_horizon;
-  fault_options.grace = options.fault_grace;
-  fault_options.watchdog_timeout = options.fault_watchdog;
-
   exp::SweepRunner& runner = exp::SweepRunner::global();
   FuzzReport report;
 
-  // Campaign mode: load the journal, refuse config mismatches, and seed
-  // the crash-signature set from findings recorded by previous runs.
+  // Campaign mode: open the journal under the shared rule and seed the
+  // crash-signature set from findings recorded by previous runs.
   const bool campaign = !options.campaign_path.empty();
-  std::unique_ptr<exec::CampaignJournal> journal;
-  std::set<std::string> done_keys;
+  const exec::OpenedJournal opened = exec::openCampaignJournal(
+      options.campaign_path, options.resume, campaignFingerprint(options));
+  exec::CampaignJournal* journal = opened.journal.get();
+  report.journal_corrupt_lines = opened.corrupt_lines;
   std::set<std::string> seen_signatures;
-  if (campaign) {
-    const exec::JournalLoad loaded =
-        exec::loadJournalFile(options.campaign_path);
-    report.journal_corrupt_lines = loaded.corrupt_lines;
-    const std::string fingerprint = campaignFingerprint(options);
-    if (!loaded.empty()) {
-      if (!options.resume) {
-        throw ConfigError("campaign journal '" + options.campaign_path +
-                          "' already has records; pass --resume to continue "
-                          "it or remove the file to start over");
-      }
-      if (loaded.meta != fingerprint) {
-        throw ConfigError("campaign journal '" + options.campaign_path +
-                          "' was recorded under a different configuration");
-      }
-    }
-    for (const auto& [key, payload] : loaded.completed()) {
-      done_keys.insert(key);
-      // Payloads: "clean", "overflow", "finding <sig>[ dup]".
-      if (payload.rfind("finding ", 0) == 0) {
-        std::string sig = payload.substr(8);
-        const bool dup = sig.size() > 4 && sig.ends_with(" dup");
-        if (dup) sig.resize(sig.size() - 4);
-        seen_signatures.insert(sig);
-        if (!dup) ++report.previous_findings;
-      }
-    }
-    journal = std::make_unique<exec::CampaignJournal>(options.campaign_path);
-    if (loaded.empty()) {
-      journal->append(exec::RecordKind::kMeta, "config", fingerprint);
+  for (const auto& [key, payload] : opened.completed) {
+    // Payloads: "clean", "overflow", "finding <sig>[ dup]".
+    if (payload.rfind("finding ", 0) == 0) {
+      std::string sig = payload.substr(8);
+      const bool dup = sig.size() > 4 && sig.ends_with(" dup");
+      if (dup) sig.resize(sig.size() - 4);
+      seen_signatures.insert(sig);
+      if (!dup) ++report.previous_findings;
     }
   }
 
   // Folds one executed run into the report: journal it, shrink, dedupe
   // by signature, write the repro. Shared between the ordered stream
   // (run order) and the fleet path (arrival order).
-  const auto foldRow = [&](int run_index, const RunRow& row) {
+  const auto foldRow = [&](int run_index, const FuzzRunOutcome& row) {
     const std::string key = fuzzRunKey(run_index);
     ++report.runs_executed;
     if (row.failures.empty()) {
@@ -205,7 +202,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
     finding.tasks_before = static_cast<int>(sys.tasks().size());
 
     if (options.shrink && row.fault_plan_text.empty()) {
-      OracleOptions shrink_options = oracle_options;
+      OracleOptions shrink_options = oracleOptionsFor(options);
       shrink_options.protocols = {finding.failure.protocol};
       const std::string target_oracle = finding.failure.oracle;
       const auto still_violates = [&](const TaskSystem& candidate) {
@@ -292,7 +289,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
     std::vector<std::string> keys;
     for (int i = 0; i < options.runs; ++i) {
       const std::string key = fuzzRunKey(i);
-      if (done_keys.count(key) != 0) {
+      if (opened.completed.count(key) != 0) {
         ++report.resumed_skips;
         continue;
       }
@@ -329,11 +326,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
             << "'\n";
         return;
       }
-      RunRow row;
-      row.failures = std::move(outcome.failures);
-      row.system_text = std::move(outcome.system_text);
-      row.fault_plan_text = std::move(outcome.fault_plan_text);
-      foldRow(index, row);
+      foldRow(index, outcome);
     };
     fc.on_fail = [&](const std::string& key, const std::string& error) {
       if (journal) journal->append(exec::RecordKind::kFail, key, error);
@@ -368,32 +361,12 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         }
         return true;
       },
-      [&](int i, Rng& rng) {
-        RunRow row;
-        if (campaign && done_keys.count(fuzzRunKey(i)) != 0) {
-          row.skipped = true;
-          return row;
-        }
-        const WorkloadParams params = drawWorkloadParams(rng);
-        const TaskSystem sys = generateWorkload(params, rng);
-        if (options.faults) {
-          const fault::FaultPlan plan =
-              fault::FaultPlan::random(rng, sys, options.fault_count);
-          row.failures = checkSystemFaults(sys, plan, fault_options);
-          if (!row.failures.empty()) {
-            row.system_text = serializeTaskSystemToString(sys);
-            row.fault_plan_text = fault::formatPlan(plan, sys);
-          }
-        } else {
-          row.failures = checkSystem(sys, oracle_options);
-          if (!row.failures.empty()) {
-            row.system_text = serializeTaskSystemToString(sys);
-          }
-        }
-        return row;
+      [&](int i, Rng&) -> std::optional<FuzzRunOutcome> {
+        if (opened.completed.count(fuzzRunKey(i)) != 0) return std::nullopt;
+        return fuzzRun(options, i);
       },
-      [&](int i, RunRow&& row) {
-        if (row.skipped) {
+      [&](int i, std::optional<FuzzRunOutcome>&& row) {
+        if (!row.has_value()) {
           ++report.resumed_skips;
           return true;
         }
@@ -401,7 +374,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
           interrupt_seen = true;
           return false;  // un-journaled runs simply re-run on resume
         }
-        foldRow(i, row);
+        foldRow(i, *row);
         return true;
       });
   report.budget_exhausted = budget_hit;

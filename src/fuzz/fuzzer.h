@@ -106,6 +106,23 @@ struct FuzzReport {
   obs::FleetCounters fleet;    ///< fleet-mode bookkeeping (zero otherwise)
 };
 
+/// What one run index found: its oracle failures (usually none) and,
+/// when there are any, the system (and fault plan) that tripped them.
+/// Also the wire form of a fleet fuzz run (fuzz/fleet.h).
+struct FuzzRunOutcome {
+  std::vector<OracleFailure> failures;
+  std::string system_text;      ///< serialized system when failures exist
+  std::string fault_plan_text;  ///< formatPlan() in fault mode, same gate
+};
+
+/// The run body of both the in-process loop and the "fuzz-v1" fleet
+/// body: derives Rng(seed + run_index), draws WorkloadParams, generates
+/// a system and runs the oracle families (or, with `faults`, a random
+/// fault plan and the fault:* oracles). Reads only the options that
+/// shape a run's result.
+[[nodiscard]] FuzzRunOutcome fuzzRun(const FuzzOptions& options,
+                                     int run_index);
+
 /// Runs the loop; progress and findings go to `log`.
 [[nodiscard]] FuzzReport runFuzz(const FuzzOptions& options,
                                  std::ostream& log);

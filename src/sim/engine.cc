@@ -79,13 +79,19 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
     // grant + gcs-enter + handoff; unlock: gcs-exit + unlock; suspend:
     // suspend + resume), and causes at most 1 + suspends + 2*locks
     // dispatch changes, each emitting at most a preempt + a start on one
-    // processor. Segments split at the same dispatch boundaries. Capped
-    // (with ordinary vector growth as the fallback) so a degenerate
-    // op-heavy system cannot over-reserve; tests/allocation_test.cc pins
-    // trace-armed runs at zero post-setup allocations.
+    // processor. Segments are cut at every clock advance, once per
+    // running processor (advanceTo; a cut merges only into the segment
+    // recorded just before it, which is usually another processor's).
+    // The clock stops at most once per release, compute-op end (merged
+    // computes: at most 2*locks + suspends + 1 per job) and suspension
+    // end, and at most once per tick, so segments are bounded by
+    // processors x min(horizon, stops). Capped (with ordinary vector
+    // growth as the fallback) so a degenerate op-heavy system cannot
+    // over-reserve; tests/allocation_test.cc pins trace-armed runs at
+    // zero post-setup allocations.
     constexpr std::int64_t kTraceReserveCap = 1 << 20;
     std::int64_t expected_events = 0;
-    std::int64_t expected_segments = 0;
+    std::int64_t clock_stops = 1;  // the horizon itself
     for (const Task& t : system_.tasks()) {
       if (t.period <= 0) continue;
       const std::int64_t jobs_t = horizon_ / t.period + 1;
@@ -99,8 +105,10 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
         }
       }
       expected_events += jobs_t * (6 + 10 * locks + 4 * suspends);
-      expected_segments += jobs_t * (2 + 4 * locks + 2 * suspends);
+      clock_stops += jobs_t * (2 + 2 * locks + 2 * suspends);
     }
+    const std::int64_t expected_segments =
+        procs * std::min(clock_stops, horizon_ + 1);
     result_.trace.reserve(static_cast<std::size_t>(
         std::min(expected_events, kTraceReserveCap)));
     result_.segments.reserve(static_cast<std::size_t>(
@@ -161,10 +169,6 @@ SimResult Engine::run() {
   protocol_.attach(*this);
 
   while (true) {
-    if (config_.cancel != nullptr &&
-        config_.cancel->load(std::memory_order_relaxed)) {
-      throw SimCancelled();
-    }
     releaseDueJobs();
     wakeDueSuspensions();
     if (!stall_noted_.empty()) noteStallWindows();
@@ -1101,7 +1105,7 @@ void Engine::restampArrival(Job& j) {
 void Engine::notePriorityChanged(Job& j) {
   if (j.state != JobState::kReady) return;  // re-keyed on wake()
   auto& q = readyQueue(j.current);
-  const bool was_queued = q.remove(&j);
+  [[maybe_unused]] const bool was_queued = q.remove(&j);
   MPCP_DCHECK(was_queued,
               "notePriorityChanged: ready job " << j.id
                                                 << " missing from queue");

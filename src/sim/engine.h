@@ -40,9 +40,7 @@
 // compared to the situation where no semaphores are present".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -75,16 +73,6 @@ struct SimConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   /// Containment policies (all off by default).
   fault::ContainmentConfig containment;
-  /// Cooperative cancellation (not owned): the run loop polls this flag
-  /// and throws SimCancelled when it becomes true. Used by the sweep
-  /// runner's wall-clock watchdog to stop runaway simulations.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
-/// Thrown by Engine::run() when SimConfig::cancel is raised mid-run.
-class SimCancelled : public std::runtime_error {
- public:
-  SimCancelled() : std::runtime_error("simulation cancelled") {}
 };
 
 class Engine {

@@ -22,7 +22,7 @@
 #include <new>
 
 #include "common/rng.h"
-#include "core/protocol_factory.h"
+#include "core/protocol_registry.h"
 #include "core/simulate.h"
 #include "sim/engine.h"
 #include "taskgen/generator.h"
@@ -144,7 +144,7 @@ std::size_t allocationsDuringRun(ProtocolKind kind, std::uint64_t seed) {
   }
   TaskSystem system = generateWorkload(params, rng);
   PriorityTables tables(system);
-  auto protocol = makeProtocol(kind, system, tables);
+  auto protocol = protocolSpec(kind).make(system, tables);
   SimConfig config;
   config.record_trace = false;
   config.horizon = 300'000;
@@ -202,7 +202,7 @@ TEST(Allocation, ZeroPerRunWhenTraceArmed) {
   PriorityTables tables(system);
   for (const ProtocolKind kind :
        {ProtocolKind::kMpcp, ProtocolKind::kSpinFifo}) {
-    auto protocol = makeProtocol(kind, system, tables);
+    auto protocol = protocolSpec(kind).make(system, tables);
     SimConfig config;
     config.record_trace = true;
     config.horizon = 100'000;
@@ -236,7 +236,7 @@ TEST(Allocation, ZeroPerRunWhenFaultArmed) {
   Rng rng(404);
   TaskSystem system = generateWorkload(contendedParams(), rng);
   PriorityTables tables(system);
-  auto protocol = makeProtocol(ProtocolKind::kMpcp, system, tables);
+  auto protocol = protocolSpec(ProtocolKind::kMpcp).make(system, tables);
 
   SimConfig config;
   config.record_trace = false;

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +24,12 @@ namespace {
 std::string tempPath(const std::string& name) {
   return testing::TempDir() + "/mpcp_campaign_" + name + "_" +
          std::to_string(::getpid());
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 std::string rowFor(int s, Rng& rng) {
@@ -163,6 +171,86 @@ TEST(Campaign, FingerprintMismatchRefused) {
   options.config_fingerprint = "test-v1 horizon=9999";
   EXPECT_THROW(
       { (void)runCampaign(runner, 2, 100, options, rowFor); }, ConfigError);
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, JournalBytesIdenticalAtAnyThreadCount) {
+  // Only the folding thread appends, start+done back to back in seed
+  // order, so the journal does not depend on the pool width.
+  std::string reference;
+  for (const int threads : {1, 2, 4}) {
+    const std::string path = tempPath("threads");
+    std::remove(path.c_str());
+    exp::SweepRunner runner(threads);
+    CampaignOptions options;
+    options.journal_path = path;
+    options.config_fingerprint = "test-v1 seeds=40";
+    ASSERT_TRUE(runCampaign(runner, 40, 100, options, rowFor).complete());
+    const std::string bytes = readFile(path);
+    if (threads == 1) {
+      reference = bytes;
+      EXPECT_EQ(loadJournalFile(path).records.size(), 1u + 2u * 40u);
+    } else {
+      EXPECT_EQ(bytes, reference) << "threads=" << threads;
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(Campaign, MetalessJournalWithRecordsRefused) {
+  // Records without a meta record cannot prove which configuration wrote
+  // them, so resuming under a fingerprint is refused.
+  const std::string path = tempPath("metaless");
+  std::remove(path.c_str());
+  {
+    CampaignJournal journal(path);
+    Rng rng = exp::SweepRunner::rngFor(100, 0);
+    journal.append(RecordKind::kDone, runKey(100, 0), rowFor(0, rng));
+  }
+  exp::SweepRunner runner(1);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "test-v1";
+  options.resume = true;
+  try {
+    (void)runCampaign(runner, 2, 100, options, rowFor);
+    FAIL() << "a meta-less journal with records must be refused";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("resume"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, TornOnlyJournalOpensFresh) {
+  // A journal whose only content is a torn record holds nothing to
+  // resume: it opens as fresh (no --resume needed), the torn line is
+  // ended before the meta record, and the result resumes cleanly.
+  const std::string path = tempPath("torn_only");
+  std::remove(path.c_str());
+  {
+    const std::string line = formatRecord(RecordKind::kMeta, "config", "x");
+    std::ofstream out(path, std::ios::binary);
+    out << line.substr(0, line.size() / 2);
+  }
+  exp::SweepRunner runner(2);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "test-v1";
+  const CampaignOutcome first = runCampaign(runner, 3, 100, options, rowFor);
+  ASSERT_TRUE(first.complete());
+
+  const JournalLoad load = loadJournalFile(path);
+  EXPECT_EQ(load.meta, "test-v1");
+  EXPECT_EQ(load.corrupt_lines, 1u);  // the ended torn line
+  EXPECT_FALSE(load.torn_tail);
+  EXPECT_EQ(load.completed().size(), 3u);
+
+  options.resume = true;
+  const CampaignOutcome resumed = runCampaign(runner, 3, 100, options, rowFor);
+  ASSERT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.exec.resumed_skips, 3u);
+  EXPECT_EQ(resumed.exec.journal_corrupt_lines, 1u);
   std::remove(path.c_str());
 }
 

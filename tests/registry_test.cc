@@ -1,6 +1,6 @@
 // The protocol registry (ISSUE 8): one name-keyed source of truth for
-// every protocol the repo speaks. The CLI parser, the factory shims, the
-// analyzer and the fuzzer all delegate here, so these tests pin the
+// every protocol the repo speaks. The CLI parser, protocol construction,
+// the analyzer and the fuzzer all delegate here, so these tests pin the
 // contract they share: canonical append-only order, exact name<->kind
 // round-trips, and first-class unknown-name diagnostics.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "analysis/ceilings.h"
 #include "common/check.h"
-#include "core/protocol_factory.h"
 #include "core/protocol_registry.h"
 #include "model/task_system.h"
 
@@ -85,15 +84,12 @@ TEST(Registry, FactoriesConstructAndSelfIdentify) {
   const PriorityTables tables(sys);
 
   for (const ProtocolSpec& spec : protocolRegistry()) {
-    const auto via_registry = spec.make(sys, tables);
-    const auto via_factory = makeProtocol(spec.kind, sys, tables);
-    ASSERT_NE(via_registry, nullptr) << spec.name;
-    ASSERT_NE(via_factory, nullptr) << spec.name;
-    EXPECT_STREQ(via_registry->name(), via_factory->name()) << spec.name;
+    const auto protocol = protocolSpec(spec.kind).make(sys, tables);
+    ASSERT_NE(protocol, nullptr) << spec.name;
     // none-prio shares NoProtocol (which reports "none"); every other
     // protocol self-identifies with its canonical registry name.
     if (spec.kind != ProtocolKind::kNonePrio) {
-      EXPECT_STREQ(via_factory->name(), spec.name);
+      EXPECT_STREQ(protocol->name(), spec.name);
     }
   }
 }

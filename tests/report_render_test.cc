@@ -57,12 +57,12 @@ TEST(Factory, AllKindsConstructible) {
   for (const ProtocolKind kind :
        {ProtocolKind::kNone, ProtocolKind::kNonePrio, ProtocolKind::kPip,
         ProtocolKind::kMpcp, ProtocolKind::kDpcp}) {
-    const auto protocol = makeProtocol(kind, ex.sys, tables);
+    const auto protocol = protocolSpec(kind).make(ex.sys, tables);
     ASSERT_NE(protocol, nullptr) << toString(kind);
     EXPECT_NE(std::string(protocol->name()), "");
   }
   // kPcp must refuse the multiprocessor system.
-  EXPECT_THROW(makeProtocol(ProtocolKind::kPcp, ex.sys, tables),
+  EXPECT_THROW(protocolSpec(ProtocolKind::kPcp).make(ex.sys, tables),
                ConfigError);
 }
 

@@ -106,5 +106,40 @@ TEST(ThreadPoolExceptions, SerialPoolPropagatesDirectly) {
   EXPECT_EQ(sum.load(), 45);
 }
 
+TEST(ThreadPool, WorkerExceptionPropagatesAndPoolSurvives) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  try {
+    pool.parallelFor(16, [&](std::int64_t i) {
+      ++ran;
+      if (i == 5) throw std::runtime_error("task failed");
+    });
+    FAIL() << "expected the worker exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task failed");
+  }
+  // Every iteration still ran (the pool drains before rethrowing) and the
+  // pool is reusable — a dead worker would hang this second call.
+  EXPECT_EQ(ran.load(), 16);
+  std::atomic<int> again{0};
+  pool.parallelFor(8, [&](std::int64_t) { ++again; });
+  EXPECT_EQ(again.load(), 8);
+}
+
+TEST(ThreadPool, FirstExceptionWinsAcrossManyThrowers) {
+  ThreadPool pool(4);
+  try {
+    pool.parallelFor(64, [&](std::int64_t i) {
+      if (i % 2 == 0) throw std::runtime_error("even failed");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "even failed");
+  }
+  std::atomic<int> ok{0};
+  pool.parallelFor(4, [&](std::int64_t) { ++ok; });
+  EXPECT_EQ(ok.load(), 4);
+}
+
 }  // namespace
 }  // namespace mpcp::exp

@@ -396,23 +396,13 @@ int cmdSweep(const Args& args) {
   const std::int64_t crash_seed = cli::parseInt(
       "--crash-seed", args.get("crash-seed", "-1"), -1, 1'000'000);
 
-  const auto body = [=](int s, Rng& rng) -> std::string {
+  const auto body = [=](int s, Rng&) -> std::string {
     if (sleep_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     }
     if (crash_seed >= 0 && s == crash_seed) std::raise(SIGKILL);
-    const TaskSystem sys = generateWorkload(params, rng);
-    const ProtocolAnalysis analysis = analyzeUnder(kind, sys);
-    SimConfig config;
-    config.horizon = horizon;
-    config.record_trace = false;
-    const SimResult r = simulate(kind, sys, config);
-    const obs::Counters& c = r.counters;
-    return strf(seed_base + static_cast<std::uint64_t>(s), ',',
-                analysis.report.rta_all ? 1 : 0, ',', c.deadline_misses, ',',
-                c.jobs_released, ',', c.jobs_finished, ',',
-                c.totalAcquisitions(), ',', c.totalContendedWaits(), ',',
-                c.totalHandoffs(), ',', c.preemptions, ',', c.migrations);
+    return exec::fabric::sweepRow(kind, params, horizon,
+                                  seed_base + static_cast<std::uint64_t>(s));
   };
 
   // Fleet mode (ISSUE 9): --workers/--listen hand the seed range to the
