@@ -13,8 +13,7 @@
 //
 // Journal order: seeds are folded in key order, and each fold appends
 // its `start` and `done`/`fail` back to back, so the journal is the same
-// bytes at any MPCP_THREADS and equal to the fleet's canonical merge
-// (exec/fabric/fleet_campaign.h).
+// bytes at any MPCP_THREADS.
 //
 // Resume contract: payloads recorded as `done` are reused *verbatim* —
 // the run body is not re-executed — so any aggregate assembled from

@@ -40,15 +40,6 @@ void installInterruptHandlers() {
   sa.sa_flags = 0;  // no SA_RESTART: interrupt blocking reads/polls
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-  ignoreSigpipe();
-}
-
-void ignoreSigpipe() {
-  struct sigaction sa = {};
-  sa.sa_handler = SIG_IGN;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;
-  sigaction(SIGPIPE, &sa, nullptr);
 }
 
 bool interrupted() { return g_signal.load() != 0; }

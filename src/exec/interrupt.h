@@ -17,19 +17,8 @@
 
 namespace mpcp::exec {
 
-/// Installs the SIGINT/SIGTERM handler (idempotent). Also ignores
-/// SIGPIPE (see ignoreSigpipe below) — the fleet drivers do socket I/O.
+/// Installs the SIGINT/SIGTERM handler (idempotent).
 void installInterruptHandlers();
-
-/// Ignores SIGPIPE process-wide (idempotent). Without this, a worker
-/// dying between a poll and a write would kill the coordinator with the
-/// default SIGPIPE disposition; with it, the write fails with EPIPE and
-/// the fabric treats the connection as dead. Called by
-/// installInterruptHandlers and again by the fabric entry points, so
-/// socket I/O is safe even in binaries (gtest) that never install the
-/// interrupt handlers. The fabric also passes MSG_NOSIGNAL on every
-/// send as a second layer.
-void ignoreSigpipe();
 
 /// True once a handled signal arrived; dispatch loops poll this.
 [[nodiscard]] bool interrupted();

@@ -1,7 +1,6 @@
 #include "exec/journal.h"
 
 #include <fcntl.h>
-#include <stdio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -209,10 +208,6 @@ long JournalIo::write(int fd, const void* data, std::size_t n) {
 
 int JournalIo::fsync(int fd) { return ::fsync(fd); }
 
-int JournalIo::rename(const std::string& from, const std::string& to) {
-  return ::rename(from.c_str(), to.c_str());
-}
-
 int JournalIo::close(int fd) { return ::close(fd); }
 
 JournalIo& JournalIo::real() {
@@ -220,22 +215,8 @@ JournalIo& JournalIo::real() {
   return io;
 }
 
-int FaultyJournalIo::open(const std::string& path, int flags, int mode) {
-  const int fd = JournalIo::open(path, flags, mode);
-  if (fd >= 0 &&
-      (path_filter.empty() || path.find(path_filter) != std::string::npos)) {
-    faulted_fds_.push_back(fd);
-  }
-  return fd;
-}
-
-bool FaultyJournalIo::faulted(int fd) const {
-  return std::find(faulted_fds_.begin(), faulted_fds_.end(), fd) !=
-         faulted_fds_.end();
-}
-
 long FaultyJournalIo::write(int fd, const void* data, std::size_t n) {
-  if (!faulted(fd) || budget_bytes < 0) {
+  if (budget_bytes < 0) {
     const long w = JournalIo::write(fd, data, n);
     if (w > 0) bytes_written += w;
     return w;
@@ -255,61 +236,13 @@ long FaultyJournalIo::write(int fd, const void* data, std::size_t n) {
 }
 
 int FaultyJournalIo::fsync(int fd) {
-  if (faulted(fd) && fsync_failures_after >= 0 &&
+  if (fsync_failures_after >= 0 &&
       fsync_calls_++ >= fsync_failures_after) {
     ++fsync_errors;
     errno = EIO;
     return -1;
   }
   return JournalIo::fsync(fd);
-}
-
-int FaultyJournalIo::rename(const std::string& from, const std::string& to) {
-  if (fail_renames &&
-      (path_filter.empty() || to.find(path_filter) != std::string::npos)) {
-    ++rename_errors;
-    errno = EIO;
-    return -1;
-  }
-  return JournalIo::rename(from, to);
-}
-
-int FaultyJournalIo::close(int fd) {
-  faulted_fds_.erase(
-      std::remove(faulted_fds_.begin(), faulted_fds_.end(), fd),
-      faulted_fds_.end());
-  return JournalIo::close(fd);
-}
-
-void writeFileAtomic(const std::string& path, const std::string& bytes,
-                     JournalIo* io) {
-  if (io == nullptr) io = &JournalIo::real();
-  const std::string tmp = path + ".tmp";
-  const int fd = io->open(tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    throw ConfigError("cannot open '" + tmp + "': " + std::strerror(errno));
-  }
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const long n = io->write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string detail = std::strerror(errno);
-      io->close(fd);
-      throw ConfigError("write to '" + tmp + "' failed: " + detail);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (io->fsync(fd) != 0 && errno != EINVAL && errno != EROFS) {
-    const std::string detail = std::strerror(errno);
-    io->close(fd);
-    throw ConfigError("fsync on '" + tmp + "' failed: " + detail);
-  }
-  io->close(fd);
-  if (io->rename(tmp, path) != 0) {
-    throw ConfigError("rename '" + tmp + "' -> '" + path +
-                      "' failed: " + std::strerror(errno));
-  }
 }
 
 CampaignJournal::CampaignJournal(const std::string& path, JournalIo* io)
@@ -360,10 +293,8 @@ void CampaignJournal::writeSynced(const std::string& bytes) {
   }
 }
 
-OpenedJournal openCampaignJournal(
-    const std::string& path, bool resume, const std::string& fingerprint,
-    JournalIo* io,
-    const std::function<void(const ConfigError&)>& on_append_error) {
+OpenedJournal openCampaignJournal(const std::string& path, bool resume,
+                                  const std::string& fingerprint) {
   OpenedJournal out;
   if (path.empty()) return out;
   const JournalLoad load = loadJournalFile(path);
@@ -383,15 +314,10 @@ OpenedJournal openCampaignJournal(
   }
   out.completed = load.completed();
   out.corrupt_lines = load.corrupt_lines;
-  out.journal = std::make_unique<CampaignJournal>(path, io);
-  try {
-    if (load.torn_tail) out.journal->endTornLine();
-    if (fresh && !fingerprint.empty()) {
-      out.journal->append(RecordKind::kMeta, "config", fingerprint);
-    }
-  } catch (const ConfigError& e) {
-    if (!on_append_error) throw;
-    on_append_error(e);
+  out.journal = std::make_unique<CampaignJournal>(path);
+  if (load.torn_tail) out.journal->endTornLine();
+  if (fresh && !fingerprint.empty()) {
+    out.journal->append(RecordKind::kMeta, "config", fingerprint);
   }
   return out;
 }

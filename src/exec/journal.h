@@ -25,8 +25,10 @@
 // Record semantics (enforced by the campaign runner, not the journal):
 //   meta  — config fingerprint; resuming under different options is an
 //           error, caught by comparing this record;
-//   start — the run was dispatched (crash forensics: a start with no
-//           done/fail means the driver died mid-run);
+//   start — the run was folded; the campaign loop appends it right
+//           before that run's done/fail (crash forensics: a start with
+//           no done/fail means the driver died between the two appends,
+//           not during the run);
 //   done  — the run completed; payload is its serialized result row,
 //           reused verbatim on resume so aggregates are byte-identical;
 //   fail  — the run failed permanently (retries exhausted); re-run on
@@ -34,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,15 +81,15 @@ struct JournalLoad {
 
 /// The exact line CampaignJournal::append writes for (kind, key,
 /// payload) — CRC prefix, escaped payload, trailing newline. Exposed so
-/// the fleet shard merge (exec/fabric/) can rebuild a journal
-/// byte-identical to a serial run. Requires a whitespace-free key.
+/// tests can build expected journal bytes. Requires a whitespace-free
+/// key.
 [[nodiscard]] std::string formatRecord(RecordKind kind, const std::string& key,
                                        const std::string& payload);
 
-/// Injectable disk seam (ISSUE 10): every byte the journal layer puts on
-/// disk goes through one of these, so tests and the soak harness can
-/// simulate a hostile disk — ENOSPC, short writes, failing fsync, torn
-/// renames — deterministically and without filling a real filesystem.
+/// Injectable disk seam: every byte the journal layer puts on disk goes
+/// through one of these, so tests can simulate a hostile disk — ENOSPC,
+/// short writes, failing fsync — deterministically and without filling a
+/// real filesystem.
 /// The base class is the real syscalls; errors are reported errno-style
 /// (negative return, errno set) so call sites keep their existing
 /// strerror diagnostics.
@@ -101,8 +102,6 @@ class JournalIo {
   [[nodiscard]] virtual long write(int fd, const void* data,
                                    std::size_t n);
   [[nodiscard]] virtual int fsync(int fd);
-  [[nodiscard]] virtual int rename(const std::string& from,
-                                   const std::string& to);
   virtual int close(int fd);
 
   /// The shared real-syscall instance.
@@ -114,48 +113,24 @@ class JournalIo {
 /// crosses the cap is cut at the boundary (a torn record lands) and the
 /// NEXT write fails ENOSPC; without it, the crossing write fails whole.
 /// Negative budget = unlimited. fsync failures (EIO) start after
-/// `fsync_failures_after` successful calls (negative = never fail), and
-/// `fail_renames` makes every rename fail EIO — the torn-rename case,
-/// where the tmp file exists but never replaces the target.
+/// `fsync_failures_after` successful calls (negative = never fail).
 class FaultyJournalIo : public JournalIo {
  public:
   std::int64_t budget_bytes = -1;
   bool short_writes = false;
   int fsync_failures_after = -1;
-  bool fail_renames = false;
-  /// Faults apply only to paths containing this substring ("" = all) —
-  /// lets a test break shard journals while the main journal stays
-  /// healthy. Matched at open/rename; fds from non-matching opens pass
-  /// straight through.
-  std::string path_filter;
 
   // Observability for assertions.
   std::int64_t bytes_written = 0;
   std::uint64_t write_errors = 0;
   std::uint64_t fsync_errors = 0;
-  std::uint64_t rename_errors = 0;
 
-  [[nodiscard]] int open(const std::string& path, int flags,
-                         int mode) override;
   [[nodiscard]] long write(int fd, const void* data, std::size_t n) override;
   [[nodiscard]] int fsync(int fd) override;
-  [[nodiscard]] int rename(const std::string& from,
-                           const std::string& to) override;
-  int close(int fd) override;
 
  private:
-  [[nodiscard]] bool faulted(int fd) const;
-  std::vector<int> faulted_fds_;
   int fsync_calls_ = 0;
 };
-
-/// Writes `bytes` to `path` atomically: tmp sibling + write + fsync +
-/// rename, all through `io`. Throws ConfigError on any step failing —
-/// the target file is untouched in every failure mode (a torn rename
-/// leaves only the tmp sibling behind). Used by the fleet journal merge
-/// and the coordinator checkpoint.
-void writeFileAtomic(const std::string& path, const std::string& bytes,
-                     JournalIo* io = nullptr);
 
 /// Append handle. Thread-safe: concurrent appends from pool workers are
 /// serialized internally; each record is written + fsync'd before
@@ -196,8 +171,8 @@ struct OpenedJournal {
   std::uint64_t corrupt_lines = 0;
 };
 
-/// The journal-open rule every campaign driver shares (sweep, fleet
-/// sweep, fuzz campaign):
+/// The journal-open rule both campaign drivers share (sweep, fuzz
+/// campaign):
 ///   * a journal with no valid records is fresh: it is opened for
 ///     append and, given a non-empty `fingerprint`, starts with a `meta`
 ///     record;
@@ -205,12 +180,9 @@ struct OpenedJournal {
 ///     `resume` is set, and refused if its `meta` record is missing or
 ///     differs from a non-empty `fingerprint`.
 /// A torn final line is ended before anything is appended. An empty
-/// `path` returns an empty OpenedJournal. `on_append_error`, when set,
-/// receives a failed torn-line or `meta` write instead of it being
-/// thrown (the fleet contains disk faults).
-[[nodiscard]] OpenedJournal openCampaignJournal(
-    const std::string& path, bool resume, const std::string& fingerprint,
-    JournalIo* io = nullptr,
-    const std::function<void(const ConfigError&)>& on_append_error = {});
+/// `path` returns an empty OpenedJournal.
+[[nodiscard]] OpenedJournal openCampaignJournal(const std::string& path,
+                                                bool resume,
+                                                const std::string& fingerprint);
 
 }  // namespace mpcp::exec

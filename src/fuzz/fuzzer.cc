@@ -10,15 +10,11 @@
 #include <set>
 #include <system_error>
 
-#include <charconv>
-
 #include "common/check.h"
 #include "common/strf.h"
-#include "exec/fabric/coordinator.h"
 #include "exec/interrupt.h"
 #include "exec/journal.h"
 #include "exp/sweep_runner.h"
-#include "fuzz/fleet.h"
 #include "fuzz/repro.h"
 #include "fuzz/shrink.h"
 #include "model/serialize.h"
@@ -70,7 +66,7 @@ OracleOptions oracleOptionsFor(const FuzzOptions& o) {
 
 FuzzRunOutcome fuzzRun(const FuzzOptions& options, int run_index) {
   // Rng(seed + i): the SweepRunner convention, so a run index draws the
-  // same system in the stream, in a fleet worker and on replay.
+  // same system at any thread count and on replay.
   Rng rng = exp::SweepRunner::rngFor(options.seed, run_index);
   const WorkloadParams params = drawWorkloadParams(rng);
   const TaskSystem sys = generateWorkload(params, rng);
@@ -170,9 +166,8 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
     }
   }
 
-  // Folds one executed run into the report: journal it, shrink, dedupe
-  // by signature, write the repro. Shared between the ordered stream
-  // (run order) and the fleet path (arrival order).
+  // Folds one executed run into the report, in run order: journal it,
+  // shrink, dedupe by signature, write the repro.
   const auto foldRow = [&](int run_index, const FuzzRunOutcome& row) {
     const std::string key = fuzzRunKey(run_index);
     ++report.runs_executed;
@@ -280,66 +275,6 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
     }
     report.findings.push_back(std::move(finding));
   };
-
-  // Fleet mode: hand the pending run indices to the campaign fabric.
-  // Workers execute generate+oracles; every result folds here, so the
-  // journal/dedupe/repro behavior matches the serial path.
-  if (options.fleet_workers > 0 || !options.fleet_listen.empty()) {
-    registerFuzzFleetBody();
-    std::vector<std::string> keys;
-    for (int i = 0; i < options.runs; ++i) {
-      const std::string key = fuzzRunKey(i);
-      if (opened.completed.count(key) != 0) {
-        ++report.resumed_skips;
-        continue;
-      }
-      keys.push_back(key);
-    }
-
-    exec::fabric::FleetConfig fc;
-    fc.listen = options.fleet_listen;
-    fc.spawn_workers = options.fleet_workers;
-    fc.worker_bin = options.fleet_worker_bin;
-    fc.shard_dir = options.fleet_shard_dir;
-    fc.body_spec = makeFuzzBodySpec(options);
-    fc.fingerprint = campaignFingerprint(options);
-    fc.timing.heartbeat_ms = options.fleet_heartbeat_ms;
-    fc.timing.lease_deadline_ms = options.fleet_lease_deadline_ms;
-    fc.timing.degrade_after_ms = options.fleet_grace_ms;
-    if (!options.fleet_chaos.empty()) {
-      fc.chaos = exec::fabric::parseChaosSchedule(options.fleet_chaos);
-    }
-    fc.log = &log;
-    fc.local_fn =
-        (*exec::fabric::findFleetBodyKind("fuzz-v1"))(fc.body_spec);
-    fc.on_result = [&](const exec::fabric::FleetResult& r) {
-      int index = 0;
-      const char* begin = r.key.data() + 1;
-      const char* end = r.key.data() + r.key.size();
-      const auto [ptr, ec] = std::from_chars(begin, end, index);
-      FuzzRunOutcome outcome;
-      if (r.key.empty() || r.key[0] != 'r' || ec != std::errc() ||
-          ptr != end || !decodeFuzzRunOutcome(r.payload, outcome)) {
-        // Undecodable result: leave the key un-journaled so a resume
-        // simply re-runs it.
-        log << "fleet: discarding undecodable result for key '" << r.key
-            << "'\n";
-        return;
-      }
-      foldRow(index, outcome);
-    };
-    fc.on_fail = [&](const std::string& key, const std::string& error) {
-      if (journal) journal->append(exec::RecordKind::kFail, key, error);
-      log << "fleet: run " << key << " failed permanently: " << error
-          << "\n";
-    };
-
-    const exec::fabric::FleetOutcome fo = exec::fabric::runFleet(keys, fc);
-    report.fleet = fo.counters;
-    report.interrupted = fo.interrupted || exec::interrupted();
-    report.elapsed_s = elapsed();
-    return report;
-  }
 
   // Ordered stream: runs are claimed one at a time (the budget and the
   // interrupt flag are checked per claim) and folded here in run order,

@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "fuzz/mutations.h"
 #include "fuzz/oracles.h"
-#include "obs/counters.h"
 #include "taskgen/generator.h"
 
 namespace mpcp::fuzz {
@@ -63,21 +62,6 @@ struct FuzzOptions {
   /// is byte-identical to pre-campaign builds.
   std::string campaign_path;
   bool resume = false;
-  /// Fleet mode (ISSUE 9): when fleet_workers > 0 or fleet_listen is
-  /// set, run indices are sharded across mpcp_worker processes via the
-  /// campaign fabric. Workers do the generate+oracle half; journaling,
-  /// shrinking, dedupe, and repro writing stay on the coordinator, so
-  /// resume semantics match the serial campaign. Requires campaign_path;
-  /// time_budget_s is unsupported (the CLI rejects the combination).
-  int fleet_workers = 0;
-  std::string fleet_listen;
-  std::string fleet_worker_bin;
-  std::string fleet_shard_dir;  ///< worker logs + default unix socket
-  int fleet_heartbeat_ms = 500;
-  int fleet_lease_deadline_ms = 60000;  ///< must exceed the slowest run
-  int fleet_grace_ms = 3000;  ///< degrade to in-process after this long
-  /// Chaos schedule text (exec/fabric/chaos.h grammar); empty = off.
-  std::string fleet_chaos;
 };
 
 struct FuzzFinding {
@@ -103,23 +87,20 @@ struct FuzzReport {
   int duplicate_findings = 0;  ///< findings deduped by crash signature
   std::uint64_t journal_corrupt_lines = 0;  ///< CRC-bad lines skipped
   bool interrupted = false;    ///< SIGINT/SIGTERM ended the loop early
-  obs::FleetCounters fleet;    ///< fleet-mode bookkeeping (zero otherwise)
 };
 
 /// What one run index found: its oracle failures (usually none) and,
 /// when there are any, the system (and fault plan) that tripped them.
-/// Also the wire form of a fleet fuzz run (fuzz/fleet.h).
 struct FuzzRunOutcome {
   std::vector<OracleFailure> failures;
   std::string system_text;      ///< serialized system when failures exist
   std::string fault_plan_text;  ///< formatPlan() in fault mode, same gate
 };
 
-/// The run body of both the in-process loop and the "fuzz-v1" fleet
-/// body: derives Rng(seed + run_index), draws WorkloadParams, generates
-/// a system and runs the oracle families (or, with `faults`, a random
-/// fault plan and the fault:* oracles). Reads only the options that
-/// shape a run's result.
+/// The run body of the fuzz loop: derives Rng(seed + run_index), draws
+/// WorkloadParams, generates a system and runs the oracle families (or,
+/// with `faults`, a random fault plan and the fault:* oracles). Reads
+/// only the options that shape a run's result.
 [[nodiscard]] FuzzRunOutcome fuzzRun(const FuzzOptions& options,
                                      int run_index);
 

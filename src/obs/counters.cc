@@ -106,75 +106,13 @@ void Counters::merge(const Counters& other) {
   misses_while_degraded += other.misses_while_degraded;
 }
 
-void ExecutorCounters::merge(const ExecutorCounters& other) {
-  dispatched += other.dispatched;
-  completed += other.completed;
-  retries += other.retries;
-  crashes += other.crashes;
-  timeouts += other.timeouts;
-  failed += other.failed;
-  resumed_skips += other.resumed_skips;
-  journal_corrupt_lines += other.journal_corrupt_lines;
-  duplicate_findings += other.duplicate_findings;
-  journal_write_errors += other.journal_write_errors;
-}
-
 std::string renderExecutorCounters(const ExecutorCounters& c) {
   std::ostringstream os;
   os << "executor: dispatched=" << c.dispatched
      << " completed=" << c.completed << " retries=" << c.retries
      << " crashes=" << c.crashes << " timeouts=" << c.timeouts
      << " failed=" << c.failed << " resumed-skips=" << c.resumed_skips
-     << " journal-corrupt-lines=" << c.journal_corrupt_lines
-     << " duplicate-findings=" << c.duplicate_findings
-     << " journal-write-errors=" << c.journal_write_errors;
-  return os.str();
-}
-
-void FleetCounters::merge(const FleetCounters& other) {
-  workers_connected += other.workers_connected;
-  worker_reconnects += other.worker_reconnects;
-  workers_reaped += other.workers_reaped;
-  leases_granted += other.leases_granted;
-  leases_stolen += other.leases_stolen;
-  leases_expired += other.leases_expired;
-  frames_rejected += other.frames_rejected;
-  handshake_rejects += other.handshake_rejects;
-  duplicate_results += other.duplicate_results;
-  degraded_local_runs += other.degraded_local_runs;
-  chaos_dropped += other.chaos_dropped;
-  chaos_delayed += other.chaos_delayed;
-  chaos_duplicated += other.chaos_duplicated;
-  chaos_reordered += other.chaos_reordered;
-  chaos_truncated += other.chaos_truncated;
-  no_progress_reaps += other.no_progress_reaps;
-  checkpoints_written += other.checkpoints_written;
-}
-
-std::string renderFleetCounters(const FleetCounters& c) {
-  std::ostringstream os;
-  os << "fleet: workers=" << c.workers_connected
-     << " reconnects=" << c.worker_reconnects
-     << " reaped=" << c.workers_reaped
-     << " leases-granted=" << c.leases_granted
-     << " leases-stolen=" << c.leases_stolen
-     << " leases-expired=" << c.leases_expired
-     << " frames-rejected=" << c.frames_rejected
-     << " handshake-rejects=" << c.handshake_rejects
-     << " duplicate-results=" << c.duplicate_results
-     << " degraded-local-runs=" << c.degraded_local_runs
-     << " no-progress-reaps=" << c.no_progress_reaps
-     << " checkpoints=" << c.checkpoints_written;
-  const std::uint64_t chaos_total = c.chaos_dropped + c.chaos_delayed +
-                                    c.chaos_duplicated + c.chaos_reordered +
-                                    c.chaos_truncated;
-  if (chaos_total > 0) {
-    os << " chaos-dropped=" << c.chaos_dropped
-       << " chaos-delayed=" << c.chaos_delayed
-       << " chaos-duplicated=" << c.chaos_duplicated
-       << " chaos-reordered=" << c.chaos_reordered
-       << " chaos-truncated=" << c.chaos_truncated;
-  }
+     << " journal-corrupt-lines=" << c.journal_corrupt_lines;
   return os.str();
 }
 

@@ -133,11 +133,10 @@ struct Counters {
 };
 
 /// Driver-side run-execution counters (filled by the src/exec campaign
-/// runner and the fuzz campaign loop, never by a simulation): how many
+/// runner, never by a simulation): how many
 /// runs were dispatched/completed, how many worker crashes and wall-limit
 /// kills the subprocess executor absorbed, how many retries the
-/// RetryPolicy spent, and how much work a --resume skipped. Sums
-/// throughout, so merge order never matters.
+/// RetryPolicy spent, and how much work a --resume skipped.
 struct ExecutorCounters {
   std::uint64_t dispatched = 0;     ///< runs handed to an executor
   std::uint64_t completed = 0;      ///< runs that produced a payload
@@ -147,47 +146,10 @@ struct ExecutorCounters {
   std::uint64_t failed = 0;         ///< permanent RunFailure records
   std::uint64_t resumed_skips = 0;  ///< keys satisfied from the journal
   std::uint64_t journal_corrupt_lines = 0;  ///< CRC-bad lines skipped
-  std::uint64_t duplicate_findings = 0;  ///< fuzz crash-signature dedupes
-  std::uint64_t journal_write_errors = 0;  ///< appends the disk refused
-
-  void merge(const ExecutorCounters& other);
 };
 
 /// One-line "executor: dispatched=.. completed=.. ..." summary.
 [[nodiscard]] std::string renderExecutorCounters(const ExecutorCounters& c);
-
-/// Coordinator-side fleet counters (filled by exec/fabric/, never by a
-/// simulation): how many workers handshook/reconnected/were reaped, how
-/// leases moved (granted, stolen by idle workers, expired back to the
-/// pending queue when their worker died), and how much hostile input the
-/// wire layer rejected. Sums throughout, so merge order never matters.
-struct FleetCounters {
-  std::uint64_t workers_connected = 0;   ///< successful handshakes
-  std::uint64_t worker_reconnects = 0;   ///< handshakes by a returning name
-  std::uint64_t workers_reaped = 0;      ///< heartbeat deadline expiries
-  std::uint64_t leases_granted = 0;      ///< keys sent in LEASE frames
-  std::uint64_t leases_stolen = 0;       ///< keys revoked from stragglers
-  std::uint64_t leases_expired = 0;      ///< keys requeued from dead workers
-  std::uint64_t frames_rejected = 0;     ///< malformed/torn/unexpected frames
-  std::uint64_t handshake_rejects = 0;   ///< HELLOs refused (kind mismatch)
-  std::uint64_t duplicate_results = 0;   ///< re-delivered keys discarded
-  std::uint64_t degraded_local_runs = 0; ///< keys drained in-process
-
-  // Chaos layer (ISSUE 10). Frame counts are what the coordinator's own
-  // ChaosLinks injected; zero without --chaos.
-  std::uint64_t chaos_dropped = 0;
-  std::uint64_t chaos_delayed = 0;
-  std::uint64_t chaos_duplicated = 0;
-  std::uint64_t chaos_reordered = 0;
-  std::uint64_t chaos_truncated = 0;
-  std::uint64_t no_progress_reaps = 0;   ///< leased but silent past deadline
-  std::uint64_t checkpoints_written = 0; ///< coordinator.ckpt snapshots
-
-  void merge(const FleetCounters& other);
-};
-
-/// One-line "fleet: workers=.. ..." summary.
-[[nodiscard]] std::string renderFleetCounters(const FleetCounters& c);
 
 /// One-line histogram summary: "samples=.. max=.. total=..  [lo,hi):n ...".
 [[nodiscard]] std::string renderHistogram(const BlockingHistogram& h);

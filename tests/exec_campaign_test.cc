@@ -13,6 +13,8 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "exec/journal.h"
@@ -265,6 +267,137 @@ TEST(Campaign, NoJournalIsPlainSweep) {
     Rng rng = exp::SweepRunner::rngFor(7, s);
     EXPECT_EQ(*outcome.payloads[static_cast<std::size_t>(s)], rowFor(s, rng));
   }
+}
+
+// --- campaign contract formerly shared with the distributed path ---------
+//
+// Sweep and fuzz campaigns once also ran across a coordinator/worker
+// fleet that promised the same bytes and refusals as runCampaign. The
+// fleet is gone; these cases keep its suite name and pin that contract
+// on the one in-process path.
+
+// The exact byte stream a journaled campaign writes: meta, then start
+// and done per seed in seed order.
+std::string serialJournalBytes(const std::string& fingerprint, int seeds,
+                               std::uint64_t base) {
+  std::string bytes = formatRecord(RecordKind::kMeta, "config", fingerprint);
+  for (int s = 0; s < seeds; ++s) {
+    Rng rng = exp::SweepRunner::rngFor(base, s);
+    bytes += formatRecord(RecordKind::kStart, runKey(base, s), "");
+    bytes += formatRecord(RecordKind::kDone, runKey(base, s), rowFor(s, rng));
+  }
+  return bytes;
+}
+
+TEST(FleetCampaign, DegradedRunCompletesAndMergesCanonicalBytes) {
+  const std::string path = tempPath("fleet_canonical");
+  std::remove(path.c_str());
+  exp::SweepRunner runner(4);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "fleet-test-v1";
+  std::atomic<int> executions{0};
+  const CampaignOutcome out =
+      runCampaign(runner, 4, 100, options, [&](int s, Rng& rng) {
+        executions.fetch_add(1);
+        return rowFor(s, rng);
+      });
+  ASSERT_TRUE(out.complete());
+  EXPECT_FALSE(out.interrupted);
+  EXPECT_EQ(executions.load(), 4);
+  // Byte-identical to the hand-built serial journal, not merely
+  // equivalent, even with four pool lanes.
+  EXPECT_EQ(readFile(path), serialJournalBytes("fleet-test-v1", 4, 100));
+  std::remove(path.c_str());
+}
+
+TEST(FleetCampaign, ResumeReusesDoneRowsWithoutReExecuting) {
+  const std::string path = tempPath("fleet_resume");
+  std::remove(path.c_str());
+  exp::SweepRunner runner(2);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "fleet-test-v1";
+  ASSERT_TRUE(runCampaign(runner, 3, 100, options, rowFor).complete());
+
+  options.resume = true;
+  std::atomic<int> executions{0};
+  const CampaignOutcome second =
+      runCampaign(runner, 3, 100, options, [&](int s, Rng& rng) {
+        executions.fetch_add(1);
+        return rowFor(s, rng);
+      });
+  ASSERT_TRUE(second.complete());
+  EXPECT_EQ(executions.load(), 0) << "resume must not re-execute done runs";
+  EXPECT_EQ(second.exec.resumed_skips, 3u);
+  // A full resume appends nothing.
+  EXPECT_EQ(readFile(path), serialJournalBytes("fleet-test-v1", 3, 100));
+  std::remove(path.c_str());
+}
+
+TEST(FleetCampaign, RefusesPopulatedJournalWithoutResume) {
+  const std::string path = tempPath("fleet_no_resume");
+  std::remove(path.c_str());
+  exp::SweepRunner runner(2);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "fleet-test-v1";
+  ASSERT_TRUE(runCampaign(runner, 2, 100, options, rowFor).complete());
+  const std::string before = readFile(path);
+  EXPECT_THROW(
+      { (void)runCampaign(runner, 2, 100, options, rowFor); }, ConfigError);
+  EXPECT_EQ(readFile(path), before) << "a refused run must not append";
+  std::remove(path.c_str());
+}
+
+TEST(FleetCampaign, RefusesFingerprintMismatchOnResume) {
+  const std::string path = tempPath("fleet_fp_mismatch");
+  std::remove(path.c_str());
+  exp::SweepRunner runner(2);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "fleet-test-v1";
+  ASSERT_TRUE(runCampaign(runner, 2, 100, options, rowFor).complete());
+  const std::string before = readFile(path);
+  options.resume = true;
+  options.config_fingerprint = "fleet-test-v2";
+  EXPECT_THROW(
+      { (void)runCampaign(runner, 2, 100, options, rowFor); }, ConfigError);
+  EXPECT_EQ(readFile(path), before) << "a refused resume must not append";
+  std::remove(path.c_str());
+}
+
+TEST(FleetCampaign, PermanentFailureIsJournaledAndSorted) {
+  const std::string path = tempPath("fleet_perma_fail");
+  std::remove(path.c_str());
+  exp::SweepRunner runner(4);
+  CampaignOptions options;
+  options.journal_path = path;
+  options.config_fingerprint = "fleet-test-v1";
+  const CampaignOutcome out =
+      runCampaign(runner, 3, 100, options, [](int s, Rng& rng) {
+        if (s == 1) throw std::runtime_error("body exploded");
+        return rowFor(s, rng);
+      });
+  EXPECT_FALSE(out.complete());
+  ASSERT_EQ(out.failures.size(), 1u);
+  EXPECT_EQ(out.failures[0].seed, 1);  // the index s, not the derived seed
+  EXPECT_NE(out.failures[0].error.find("body exploded"), std::string::npos)
+      << out.failures[0].error;
+  EXPECT_FALSE(out.payloads[1].has_value());
+
+  // The fail record sits in seed order between its neighbours' rows,
+  // so a later resume sees it and re-runs only that seed.
+  const JournalLoad load = loadJournalFile(path);
+  std::vector<std::pair<RecordKind, std::string>> seen;
+  for (const auto& rec : load.records) seen.emplace_back(rec.kind, rec.key);
+  const std::vector<std::pair<RecordKind, std::string>> expected = {
+      {RecordKind::kMeta, "config"}, {RecordKind::kStart, "s100"},
+      {RecordKind::kDone, "s100"},   {RecordKind::kStart, "s101"},
+      {RecordKind::kFail, "s101"},   {RecordKind::kStart, "s102"},
+      {RecordKind::kDone, "s102"}};
+  EXPECT_EQ(seen, expected);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "common/check.h"
@@ -224,55 +223,6 @@ TEST(JournalFaults, FsyncFailureSurfacesAsConfigError) {
   j.append(RecordKind::kDone, "k1", "a");  // first fsync succeeds
   EXPECT_THROW(j.append(RecordKind::kDone, "k2", "b"), ConfigError);
   EXPECT_EQ(io.fsync_errors, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(JournalFaults, PathFilterScopesTheFaults) {
-  const std::string sick = tempPath("filter_shard");
-  const std::string healthy = tempPath("filter_main");
-  std::remove(sick.c_str());
-  std::remove(healthy.c_str());
-  FaultyJournalIo io;
-  io.budget_bytes = 0;
-  io.path_filter = "filter_shard";
-  CampaignJournal js(sick, &io);
-  CampaignJournal jh(healthy, &io);
-  EXPECT_THROW(js.append(RecordKind::kDone, "k", "x"), ConfigError);
-  jh.append(RecordKind::kDone, "k", "x");  // unfiltered path: no faults
-  EXPECT_EQ(loadJournalFile(healthy).records.size(), 1u);
-  std::remove(sick.c_str());
-  std::remove(healthy.c_str());
-}
-
-TEST(JournalFaults, TornRenameLeavesTargetUntouched) {
-  const std::string path = tempPath("atomic");
-  writeFileAtomic(path, "original contents\n");
-
-  FaultyJournalIo io;
-  io.fail_renames = true;
-  EXPECT_THROW(writeFileAtomic(path, "replacement\n", &io), ConfigError);
-  EXPECT_GE(io.rename_errors, 1u);
-
-  std::ifstream f(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(f, line));
-  EXPECT_EQ(line, "original contents");
-  std::remove(path.c_str());
-}
-
-TEST(JournalFaults, AtomicWriteEnospcLeavesTargetUntouched) {
-  const std::string path = tempPath("atomic_enospc");
-  writeFileAtomic(path, "original contents\n");
-  for (const bool short_writes : {false, true}) {
-    FaultyJournalIo io;
-    io.budget_bytes = 4;
-    io.short_writes = short_writes;
-    EXPECT_THROW(writeFileAtomic(path, "replacement\n", &io), ConfigError);
-    std::ifstream f(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(f, line));
-    EXPECT_EQ(line, "original contents");
-  }
   std::remove(path.c_str());
 }
 

@@ -7,6 +7,7 @@
 // catch UsageError, print the message plus usage to stderr, and exit 2.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -87,6 +89,18 @@ inline double parseDouble(
                      std::to_string(min) + ", " + std::to_string(max) + "]");
   }
   return value;
+}
+
+/// Throws UsageError naming the first flag in `options` (keys without
+/// the leading "--") that is not in `allowed`.
+inline void rejectUnknownFlags(
+    const std::map<std::string, std::string>& options,
+    const std::vector<std::string>& allowed) {
+  for (const auto& [flag, value] : options) {
+    if (std::find(allowed.begin(), allowed.end(), flag) == allowed.end()) {
+      throw UsageError("unknown flag --" + flag);
+    }
+  }
 }
 
 /// Fails fast when `path` cannot be written. Opens in append mode (never

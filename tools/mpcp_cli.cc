@@ -17,6 +17,8 @@
 //                     [--out FILE.csv] [--journal FILE] [--resume]
 //                     [--isolate] [--wall-limit S] [--rss-limit-mb N]
 //                     [--retries N] [--retry-base-ms N] [--jitter-seed N]
+//
+// A flag the subcommand does not read is a usage error (exit 2).
 //   mpcp_cli generate [--seed N] [--processors N] [--tasks-per-proc N]
 //                     [--util X] [--resources N] [--cs-max N]
 //                     [--suspend-prob X]
@@ -50,7 +52,6 @@
 #include "core/protocol_registry.h"
 #include "core/simulate.h"
 #include "exec/campaign.h"
-#include "exec/fabric/fleet_campaign.h"
 #include "exec/interrupt.h"
 #include "exec/subprocess.h"
 #include "exp/counter_sweep.h"
@@ -89,11 +90,6 @@ int usage() {
       "           [--journal FILE] [--resume] [--isolate]\n"
       "           [--wall-limit SECONDS] [--rss-limit-mb N]\n"
       "           [--retries N] [--retry-base-ms N] [--jitter-seed N]\n"
-      "           fleet mode: [--workers N] [--listen unix:PATH|HOST:PORT]\n"
-      "           [--shard-dir DIR] [--worker-bin PATH] [--lease-chunk N]\n"
-      "           [--heartbeat-ms N] [--lease-deadline-ms N]\n"
-      "           [--fleet-grace-ms N] [--max-attempts N]\n"
-      "           [--chaos SPEC] [--takeover]\n"
       "           (testing aids: [--per-run-sleep-ms N] [--crash-seed K])\n"
       "  generate [--seed N] [--processors N] [--tasks-per-proc N]\n"
       "           [--util X] [--resources N] [--cs-max N] [--suspend-prob X]\n"
@@ -323,6 +319,26 @@ int cmdStats(const Args& args) {
   return 0;
 }
 
+/// One sweep seed as its CSV row: generate under Rng(derived_seed) (the
+/// SweepRunner convention), run RTA and a traceless simulation, format
+/// the counters. These bytes are what sweep journals store, so they must
+/// not change: a journal written by an older build still resumes.
+std::string sweepRow(ProtocolKind kind, const WorkloadParams& params,
+                     Time horizon, std::uint64_t derived_seed) {
+  Rng rng(derived_seed);
+  const TaskSystem sys = generateWorkload(params, rng);
+  const ProtocolAnalysis analysis = analyzeUnder(kind, sys);
+  SimConfig config;
+  config.horizon = horizon;
+  config.record_trace = false;
+  const SimResult r = simulate(kind, sys, config);
+  const obs::Counters& c = r.counters;
+  return strf(derived_seed, ',', analysis.report.rta_all ? 1 : 0, ',',
+              c.deadline_misses, ',', c.jobs_released, ',', c.jobs_finished,
+              ',', c.totalAcquisitions(), ',', c.totalContendedWaits(), ',',
+              c.totalHandoffs(), ',', c.preemptions, ',', c.migrations);
+}
+
 /// The journaled, crash-isolated seed sweep (the ISSUE 5 campaign loop).
 /// Each seed generates a workload under the shared per-seed RNG
 /// convention, runs RTA plus a traceless simulation, and serializes one
@@ -401,88 +417,11 @@ int cmdSweep(const Args& args) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     }
     if (crash_seed >= 0 && s == crash_seed) std::raise(SIGKILL);
-    return exec::fabric::sweepRow(kind, params, horizon,
-                                  seed_base + static_cast<std::uint64_t>(s));
+    return sweepRow(kind, params, horizon,
+                    seed_base + static_cast<std::uint64_t>(s));
   };
-
-  // Fleet mode (ISSUE 9): --workers/--listen hand the seed range to the
-  // distributed coordinator instead of the local pool. Row bytes, CSV
-  // assembly, and the journal fingerprint are shared with the serial
-  // path, which is what the byte-identical merge contract leans on.
-  const bool fleet_mode = args.has("workers") || args.has("listen");
-  if (!fleet_mode && (args.has("chaos") || args.has("takeover"))) {
-    throw cli::UsageError(
-        "--chaos and --takeover are fleet-mode flags; add --workers or "
-        "--listen");
-  }
-  exec::CampaignOutcome outcome;
-  if (fleet_mode) {
-    if (isolate) {
-      throw cli::UsageError(
-          "--isolate is implicit in fleet mode (workers are processes); "
-          "drop it or the fleet flags");
-    }
-    if (crash_seed >= 0) {
-      throw cli::UsageError(
-          "--crash-seed is in-process only; fleet chaos uses the "
-          "MPCP_FABRIC_CRASH_KEY / MPCP_FABRIC_WEDGE_KEY environment aids");
-    }
-    exec::fabric::FleetCampaignOptions fopt;
-    fopt.journal_path = copt.journal_path;
-    fopt.resume = copt.resume;
-    fopt.takeover = args.has("takeover");
-    fopt.config_fingerprint = copt.config_fingerprint;
-    fopt.shard_dir = args.get(
-        "shard-dir", copt.journal_path.empty()
-                         ? std::string("mpcp-fleet-shards")
-                         : copt.journal_path + ".shards");
-    // Probe the shard directory up front: worker logs, shard journals,
-    // and the default unix socket all land there (exit 2 on failure).
-    cli::probeWritableDir("--shard-dir", fopt.shard_dir);
-    fopt.fleet.listen = args.get("listen", "");
-    fopt.fleet.spawn_workers = static_cast<int>(
-        cli::parseInt("--workers", args.get("workers", "0"), 0, 256));
-    fopt.fleet.worker_bin = args.get("worker-bin", "");
-    fopt.fleet.lease_chunk = static_cast<int>(
-        cli::parseInt("--lease-chunk", args.get("lease-chunk", "0"), 0, 4096));
-    fopt.fleet.timing.heartbeat_ms = static_cast<int>(cli::parseInt(
-        "--heartbeat-ms", args.get("heartbeat-ms", "500"), 10, 60'000));
-    fopt.fleet.timing.lease_deadline_ms = static_cast<int>(
-        cli::parseInt("--lease-deadline-ms",
-                      args.get("lease-deadline-ms", "5000"), 100, 600'000));
-    fopt.fleet.timing.degrade_after_ms = static_cast<int>(cli::parseInt(
-        "--fleet-grace-ms", args.get("fleet-grace-ms", "3000"), 100,
-        600'000));
-    fopt.fleet.max_attempts = static_cast<int>(cli::parseInt(
-        "--max-attempts", args.get("max-attempts", "3"), 1, 100));
-    // --chaos SPEC: deterministic network-fault injection on every fabric
-    // link (chaos.h grammar). Malformed specs exit 2 like any other flag.
-    if (args.has("chaos")) {
-      try {
-        fopt.fleet.chaos =
-            exec::fabric::parseChaosSchedule(args.get("chaos", ""));
-      } catch (const ConfigError& e) {
-        throw cli::UsageError(strf("--chaos: ", e.what()));
-      }
-    }
-    fopt.fleet.body_spec = exec::fabric::makeSweepBodySpec(
-        toString(kind), seed_base, horizon, params, sleep_ms);
-    const exec::fabric::FleetBodyFactory* sweep_factory =
-        exec::fabric::findFleetBodyKind("sweep-v1");
-    fopt.fleet.local_fn = (*sweep_factory)(fopt.fleet.body_spec);
-    fopt.fleet.log = &std::cerr;
-
-    const exec::fabric::FleetCampaignOutcome fo =
-        exec::fabric::runFleetCampaign(seeds, seed_base, fopt);
-    outcome.payloads = fo.payloads;
-    outcome.failures = fo.failures;
-    outcome.exec = fo.exec;
-    outcome.interrupted = fo.interrupted;
-    std::cerr << obs::renderFleetCounters(fo.fleet) << "\n";
-  } else {
-    outcome = exec::runCampaign(exp::SweepRunner::global(), seeds, seed_base,
-                                copt, body);
-  }
+  const exec::CampaignOutcome outcome = exec::runCampaign(
+      exp::SweepRunner::global(), seeds, seed_base, copt, body);
 
   // Assemble the CSV in seed order. On interrupt the completed rows are
   // still flushed (the journal has them too), but the totals row is held
@@ -600,6 +539,37 @@ int cmdGenerate(const Args& args) {
   return 0;
 }
 
+/// Every flag each subcommand reads; main rejects any other flag before
+/// dispatching, so a typo never silently falls back to a default.
+const std::map<std::string, std::vector<std::string>>& commandFlags() {
+  const auto withGeneratorKnobs = [](std::vector<std::string> flags) {
+    for (const char* knob : {"processors", "tasks-per-proc", "util",
+                             "resources", "cs-max", "suspend-prob"}) {
+      flags.emplace_back(knob);
+    }
+    return flags;
+  };
+  static const std::map<std::string, std::vector<std::string>> kFlags = {
+      {"tables", {}},
+      {"analyze", {"protocol", "no-deferred", "paper-literal-f5"}},
+      {"simulate",
+       {"protocol", "horizon", "gantt", "narrative", "csv", "perfetto"}},
+      {"stats", withGeneratorKnobs({"protocol", "horizon", "out", "sweep",
+                                    "seeds", "seed"})},
+      {"sweep",
+       withGeneratorKnobs({"protocol", "seeds", "seed", "horizon", "out",
+                           "journal", "resume", "isolate", "wall-limit",
+                           "rss-limit-mb", "retries", "retry-base-ms",
+                           "jitter-seed", "per-run-sleep-ms", "crash-seed"})},
+      {"generate", withGeneratorKnobs({"seed"})},
+      {"sensitivity", {"protocol"}},
+      {"faults",
+       {"protocol", "plan", "random", "seed", "policy", "grace",
+        "watchdog-timeout", "horizon", "counters", "perfetto"}},
+  };
+  return kFlags;
+}
+
 int dispatch(const std::string& cmd, const Args& args) {
   if (cmd == "tables") return cmdTables(args);
   if (cmd == "analyze") return cmdAnalyze(args);
@@ -619,11 +589,14 @@ int main(int argc, char** argv) {
   // Ctrl-C / SIGTERM raise a flag the sweep loop polls (and SIGKILL any
   // live workers); commands finish flushing and exit 128+signo.
   exec::installInterruptHandlers();
-  exec::fabric::registerSweepFleetBody();
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const Args args = parseArgs(argc, argv, 2);
   try {
+    const auto flags = commandFlags().find(cmd);
+    if (flags != commandFlags().end()) {
+      cli::rejectUnknownFlags(args.options, flags->second);
+    }
     const int rc = dispatch(cmd, args);
     return exec::interrupted() ? exec::interruptExitCode() : rc;
   } catch (const cli::UsageError& e) {

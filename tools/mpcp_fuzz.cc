@@ -8,6 +8,8 @@
 //   mpcp_fuzz --replay FILE [--no-mutation] [--expect-findings]
 //   mpcp_fuzz --list-mutations
 //
+// Any other flag is a usage error (exit 2).
+//
 // Fuzz mode draws random task systems (seed s runs with Rng(seed + s), the
 // SweepRunner convention, so results are thread-count independent), runs
 // every protocol in the registry, and checks the oracle families in
@@ -25,9 +27,7 @@
 
 #include "bench_util.h"
 #include "cli_util.h"
-#include "exec/fabric/chaos.h"
 #include "exec/interrupt.h"
-#include "obs/counters.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/protocols.h"
 #include "fuzz/repro.h"
@@ -46,11 +46,6 @@ int usage() {
       "                 [--faults] [--fault-count N] [--fault-grace X]\n"
       "                 [--fault-watchdog N]\n"
       "                 [--campaign FILE [--resume]]\n"
-      "                 fleet mode (needs --campaign): [--workers N]\n"
-      "                 [--listen unix:PATH|HOST:PORT] [--shard-dir DIR]\n"
-      "                 [--worker-bin PATH] [--heartbeat-ms N]\n"
-      "                 [--lease-deadline-ms N] [--fleet-grace-ms N]\n"
-      "                 [--chaos SPEC]\n"
       "       mpcp_fuzz --replay FILE [--no-mutation] [--expect-findings]\n"
       "       mpcp_fuzz --list-mutations\n"
       "\n"
@@ -78,6 +73,13 @@ struct Args {
     return it == options.end() || it->second.empty() ? fallback : it->second;
   }
 };
+
+/// Every flag any mode reads; main rejects any other flag.
+const std::vector<std::string> kFlags = {
+    "runs", "seed", "time-budget", "protocols", "mutate", "corpus-dir",
+    "no-shrink", "expect-findings", "horizon-cap", "differential-horizon",
+    "max-findings", "faults", "fault-count", "fault-grace", "fault-watchdog",
+    "campaign", "resume", "replay", "no-mutation", "list-mutations", "help"};
 
 bool parseArgs(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
@@ -208,64 +210,14 @@ int fuzzMode(const Args& args) {
     throw cli::UsageError("--resume needs --campaign FILE");
   }
 
-  // Fleet mode (ISSUE 9): distribute run indices across mpcp_worker
-  // processes. Campaign-only — the journal is what makes a worker or
-  // coordinator death recoverable.
-  const bool fleet = args.has("workers") || args.has("listen");
-  if (fleet) {
-    if (options.campaign_path.empty()) {
-      throw cli::UsageError("fleet mode needs --campaign FILE");
-    }
-    if (args.has("time-budget")) {
-      throw cli::UsageError(
-          "--time-budget is unsupported in fleet mode; bound the campaign "
-          "with --runs and resume it instead");
-    }
-    options.fleet_workers = static_cast<int>(
-        cli::parseInt("--workers", args.get("workers", "0"), 0, 256));
-    options.fleet_listen = args.get("listen", "");
-    options.fleet_worker_bin = args.get("worker-bin", "");
-    options.fleet_shard_dir =
-        args.get("shard-dir", options.campaign_path + ".shards");
-    options.fleet_heartbeat_ms = static_cast<int>(cli::parseInt(
-        "--heartbeat-ms", args.get("heartbeat-ms", "500"), 10, 60'000));
-    // A worker cannot heartbeat mid-run (single-threaded session), so
-    // the deadline must exceed the slowest single fuzz run — seconds of
-    // simulation plus the differential — not the sweep-style default.
-    options.fleet_lease_deadline_ms = static_cast<int>(
-        cli::parseInt("--lease-deadline-ms",
-                      args.get("lease-deadline-ms", "60000"), 100, 600'000));
-    options.fleet_grace_ms = static_cast<int>(cli::parseInt(
-        "--fleet-grace-ms", args.get("fleet-grace-ms", "3000"), 100,
-        600'000));
-    if (args.has("chaos")) {
-      // Parse eagerly so a malformed spec exits 2 here instead of deep in
-      // the campaign; the validated text rides in options.
-      try {
-        options.fleet_chaos = mpcp::exec::fabric::formatChaosSchedule(
-            mpcp::exec::fabric::parseChaosSchedule(args.get("chaos", "")));
-      } catch (const mpcp::ConfigError& e) {
-        throw cli::UsageError(std::string("--chaos: ") + e.what());
-      }
-    }
-  } else if (args.has("chaos")) {
-    throw cli::UsageError(
-        "--chaos is a fleet-mode flag; add --workers or --listen");
-  }
-
   // Fail fast on unwritable outputs before any run: the repro corpus
   // directory (probed first — the campaign journal may live inside it),
-  // the campaign journal, the fleet shard directory (worker logs and the
-  // default unix socket land there), and the bench JSON sink if one is
-  // set.
+  // the campaign journal, and the bench JSON sink if one is set.
   if (!options.corpus_dir.empty()) {
     cli::probeWritableDir("--corpus-dir", options.corpus_dir);
   }
   if (!options.campaign_path.empty()) {
     cli::probeWritableFile("--campaign", options.campaign_path);
-  }
-  if (fleet) {
-    cli::probeWritableDir("--shard-dir", options.fleet_shard_dir);
   }
   if (std::getenv("MPCP_BENCH_DIR") != nullptr) {
     cli::probeWritableFile("MPCP_BENCH_DIR", bench::BenchJson("fuzz").path());
@@ -287,9 +239,6 @@ int fuzzMode(const Args& args) {
                 << " corrupt journal lines skipped";
     }
     std::cout << "\n";
-  }
-  if (fleet) {
-    std::cerr << obs::renderFleetCounters(report.fleet) << "\n";
   }
 
   bench::BenchJson json("fuzz");
@@ -331,6 +280,7 @@ int main(int argc, char** argv) {
   if (!parseArgs(argc, argv, args)) return usage();
   if (args.has("help")) return usage();
   try {
+    cli::rejectUnknownFlags(args.options, kFlags);
     if (args.has("list-mutations")) return listMutations();
     if (args.has("replay")) return replayMode(args);
     return fuzzMode(args);
