@@ -79,19 +79,16 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
     // grant + gcs-enter + handoff; unlock: gcs-exit + unlock; suspend:
     // suspend + resume), and causes at most 1 + suspends + 2*locks
     // dispatch changes, each emitting at most a preempt + a start on one
-    // processor. Segments are cut at every clock advance, once per
-    // running processor (advanceTo; a cut merges only into the segment
-    // recorded just before it, which is usually another processor's).
-    // The clock stops at most once per release, compute-op end (merged
-    // computes: at most 2*locks + suspends + 1 per job) and suspension
-    // end, and at most once per tick, so segments are bounded by
-    // processors x min(horizon, stops). Capped (with ordinary vector
-    // growth as the fallback) so a degenerate op-heavy system cannot
-    // over-reserve; tests/allocation_test.cc pins trace-armed runs at
-    // zero post-setup allocations.
+    // processor. Segment records are maximal runs (recordSegment), so a
+    // record opens only where a job is dispatched or its running mode
+    // changes at a lock or unlock: at most 1 + suspends + 4*locks per job.
+    // Capped (with ordinary vector growth as the fallback) so a
+    // degenerate op-heavy system cannot over-reserve;
+    // tests/allocation_test.cc pins trace-armed runs at zero post-setup
+    // allocations.
     constexpr std::int64_t kTraceReserveCap = 1 << 20;
     std::int64_t expected_events = 0;
-    std::int64_t clock_stops = 1;  // the horizon itself
+    std::int64_t expected_segments = 0;
     for (const Task& t : system_.tasks()) {
       if (t.period <= 0) continue;
       const std::int64_t jobs_t = horizon_ / t.period + 1;
@@ -105,10 +102,8 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
         }
       }
       expected_events += jobs_t * (6 + 10 * locks + 4 * suspends);
-      clock_stops += jobs_t * (2 + 2 * locks + 2 * suspends);
+      expected_segments += jobs_t * (1 + 4 * locks + suspends);
     }
-    const std::int64_t expected_segments =
-        procs * std::min(clock_stops, horizon_ + 1);
     result_.trace.reserve(static_cast<std::size_t>(
         std::min(expected_events, kTraceReserveCap)));
     result_.segments.reserve(static_cast<std::size_t>(
@@ -154,13 +149,14 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
   run_base_ = arena_.alloc<std::int32_t>(static_cast<std::size_t>(procs));
   seg_ = arena_.alloc<Seg>(static_cast<std::size_t>(procs));
   seg_end_ = arena_.alloc<Time>(static_cast<std::size_t>(procs));
+  open_rec_ = arena_.alloc<std::int64_t>(static_cast<std::size_t>(procs));
   for (int p = 0; p < procs; ++p) {
     run_slot_[static_cast<std::size_t>(p)] = -1;  // all idle initially
     run_base_[static_cast<std::size_t>(p)] = 0;
     seg_[static_cast<std::size_t>(p)] = {};
     seg_end_[static_cast<std::size_t>(p)] = kTimeInfinity;
+    open_rec_[static_cast<std::size_t>(p)] = -1;
   }
-  eager_ = config_.record_trace || armed_;
 }
 
 SimResult Engine::run() {
@@ -192,8 +188,8 @@ SimResult Engine::run() {
     while (applyContainment()) settle();
   }
   // Credit any still-running segment its progress up to the final clock
-  // (lazy mode defers this to settle visits, and an undisturbed segment
-  // may span the horizon).
+  // (crediting waits for settle visits, and an undisturbed segment may
+  // span the horizon).
   for (std::size_t p = 0; p < running_.size(); ++p) flushSeg(p, now_);
 
   noteDeadlineMissesAtHorizon();
@@ -382,7 +378,6 @@ void Engine::settle() {
   // visits whose inputs had not changed were no-ops — the dirty mask
   // skips precisely those, so the sequence of *effective* visits (and
   // hence every emitted event) is identical.
-  if (armed_) markAllProcs();  // fault hooks may act at a distance
   int cursor = 0;
   while (true) {
     const int p = nextDirtyProc(cursor);
@@ -401,7 +396,7 @@ void Engine::settle() {
 void Engine::settleProc(int p) {
   const auto pi = static_cast<std::size_t>(p);
   // Bring the running job's executed/op_remaining up to date before any
-  // dispatch decision reads them (no-op in eager mode).
+  // dispatch decision reads them.
   flushSeg(pi, now_);
   // A transiently stalled processor dispatches nothing: its jobs stay
   // ready and the waiting time is attributed as blocking.
@@ -686,48 +681,41 @@ Time Engine::nextEventTime() {
 }
 
 void Engine::advanceTo(Time t) {
-  const Duration dt = t - now_;
-  MPCP_CHECK(dt > 0, "advanceTo must move forward");
+  MPCP_CHECK(t > now_, "advanceTo must move forward");
 
   // Dispatch signatures, wait classes, and busy accrual are all
-  // maintained at settle/flush time — in lazy mode this loop only scans
-  // the contiguous completion-time array (idle = infinity, never == t)
-  // and marks processors whose segment completes at `t`.
-  if (eager_) {
+  // maintained at settle/flush time, so an advance only extends the
+  // trace's segment records and scans the contiguous completion-time
+  // array (idle = infinity, never == t) to mark processors whose segment
+  // completes at `t`.
+  if (config_.record_trace) {
     for (std::size_t p = 0; p < running_.size(); ++p) {
-      Job* j = seg_[p].job;
-      if (j == nullptr) continue;
-      MPCP_DCHECK(j == running_[p] && seg_end_[p] >= t,
-                  "segment overrun for " << j->id);
-      flushSeg(p, t);
-      if (armed_ && j->gcs_budget >= 0) j->gcs_consumed += dt;
-      recordSegment(static_cast<int>(p), *j, now_, t);
-      if (seg_end_[p] == t) touchProc(static_cast<int>(p));
+      if (seg_[p].job != nullptr) recordSegment(p, *seg_[p].job, now_, t);
     }
-  } else {
-    for (std::size_t p = 0; p < running_.size(); ++p) {
-      MPCP_DCHECK(seg_[p].job == nullptr ||
-                      (seg_[p].job == running_[p] && seg_end_[p] >= t),
-                  "segment overrun on P" << p);
-      if (seg_end_[p] == t) touchProc(static_cast<int>(p));
-    }
+  }
+  for (std::size_t p = 0; p < running_.size(); ++p) {
+    MPCP_DCHECK(seg_[p].job == nullptr ||
+                    (seg_[p].job == running_[p] && seg_end_[p] >= t),
+                "segment overrun on P" << p);
+    if (seg_end_[p] == t) touchProc(static_cast<int>(p));
   }
 
   now_ = t;
 }
 
-void Engine::recordSegment(int proc, Job& j, Time begin, Time end) {
-  if (!config_.record_trace) return;
+void Engine::recordSegment(std::size_t p, const Job& j, Time begin,
+                           Time end) {
   const ExecMode mode = execModeOf(j);
-  if (!result_.segments.empty()) {
-    ExecSegment& last = result_.segments.back();
-    if (last.processor.value() == proc && last.job == j.id &&
-        last.mode == mode && last.end == begin) {
-      last.end = end;
+  if (open_rec_[p] >= 0) {
+    ExecSegment& open =
+        result_.segments[static_cast<std::size_t>(open_rec_[p])];
+    if (open.job == j.id && open.mode == mode && open.end == begin) {
+      open.end = end;
       return;
     }
   }
-  result_.segments.push_back({.processor = ProcessorId(proc),
+  open_rec_[p] = static_cast<std::int64_t>(result_.segments.size());
+  result_.segments.push_back({.processor = ProcessorId(static_cast<int>(p)),
                               .job = j.id,
                               .begin = begin,
                               .end = end,
@@ -796,7 +784,13 @@ void Engine::noteFault(Job& j, fault::FaultKind kind, ResourceId r) {
 void Engine::noteStallWindows() {
   for (std::size_t i = 0; i < stall_noted_.size(); ++i) {
     const fault::FaultSpec& s = plan_->specs[i];
-    if (stall_noted_[i] || s.kind != fault::FaultKind::kProcStall) continue;
+    if (s.kind != fault::FaultKind::kProcStall) continue;
+    // The clock stops at both window edges (nextStallBoundary); touch the
+    // processor there so settle() drops, and later resumes, its dispatch.
+    if (now_ == s.start || now_ == s.start + s.length) {
+      touchProc(s.processor);
+    }
+    if (stall_noted_[i]) continue;
     if (s.start <= now_ && now_ < s.start + s.length) {
       stall_noted_[i] = true;
       result_.counters.faults_injected++;
@@ -821,6 +815,10 @@ void Engine::noteGlobalHolder(ResourceId r, const Job* holder) {
 bool Engine::applyContainment() {
   bool fired = false;
   const fault::ContainmentConfig& cc = config_.containment;
+  // Bring every budget clock and executed total up to now before a
+  // policy reads one or retires a job (nextEventTime() reads the budget
+  // clocks after the last pass, too).
+  for (std::size_t p = 0; p < running_.size(); ++p) flushSeg(p, now_);
 
   if (cc.holder_watchdog > 0) {
     for (std::size_t r = 0; r < watchdog_.size(); ++r) {

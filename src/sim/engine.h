@@ -201,7 +201,10 @@ class Engine {
   /// Earliest upcoming release/wake/segment-completion time.
   [[nodiscard]] Time nextEventTime();
   void advanceTo(Time t);
-  void recordSegment(int proc, Job& j, Time begin, Time end);
+  /// Extends p's open segment record to `end` while (job, mode) is
+  /// unchanged and contiguous, else opens a new one: every record is a
+  /// maximal run.
+  void recordSegment(std::size_t p, const Job& j, Time begin, Time end);
   void noteDeadlineMissesAtHorizon();
   [[nodiscard]] ExecMode execModeOf(const Job& j) const;
   [[nodiscard]] StablePriorityQueue<Job*>& readyQueue(ProcessorId p) {
@@ -286,24 +289,21 @@ class Engine {
   // cache line per 8 processors, kTimeInfinity = idle) because the two
   // per-iteration loops — nextEventTime()'s min scan and advanceTo()'s
   // end==t scan — read nothing else; the {job, start} half is only
-  // touched at the much rarer flush points. In lazy mode (trace off, no
-  // faults armed) the running job's executed/op_remaining are not even
-  // updated per advance — flushSeg() credits the elapsed run the next
-  // time the processor is settled (the only point that reads them), at
-  // migration, and once after the main loop. Eager mode (tracing or
-  // armed) flushes every advance so traces, budgets, and fault hooks see
-  // per-tick-accurate state.
+  // touched at the much rarer flush points. The running job's
+  // executed/op_remaining are not updated per advance: flushSeg()
+  // credits the elapsed run the next time the processor is settled (the
+  // only point that reads them), at migration, before containment reads
+  // a budget clock or retires a job, and once after the main loop.
   struct Seg {
     Job* job = nullptr;  ///< == running_[p]; null = idle
     Time start = 0;      ///< progress credited up to here
   };
 
   /// Credits `[start, t)` of p's segment to its job's executed /
-  /// op_remaining and to the processor's busy total. No-op when idle or
-  /// already flushed to `t`. Being the unique crediting point makes
-  /// processor_busy exactly the per-processor sum of executed time, the
-  /// same integer intervals the per-advance accrual summed before —
-  /// advanceTo() no longer writes a vector entry per busy processor.
+  /// op_remaining, to an armed gcs budget clock, and to the processor's
+  /// busy total. No-op when idle or already flushed to `t`. Being the
+  /// unique crediting point makes processor_busy exactly the
+  /// per-processor sum of executed time.
   void flushSeg(std::size_t p, Time t) {
     Seg& sg = seg_[p];
     if (sg.job == nullptr) return;
@@ -311,6 +311,7 @@ class Engine {
     if (run > 0) {
       sg.job->executed += run;
       sg.job->op_remaining -= run;
+      if (sg.job->gcs_budget >= 0) sg.job->gcs_consumed += run;
       result_.processor_busy[p] += run;
       sg.start = t;
     }
@@ -331,10 +332,6 @@ class Engine {
         std::uint64_t{1} << (static_cast<std::size_t>(p) & 63);
   }
   void touchProc(ProcessorId p) { touchProc(p.value()); }
-  void markAllProcs() {
-    const int procs = system_.processorCount();
-    for (int p = 0; p < procs; ++p) touchProc(p);
-  }
   /// Lowest dirty processor with index >= `from`, or -1.
   [[nodiscard]] int nextDirtyProc(int from) const;
 
@@ -377,9 +374,9 @@ class Engine {
   std::int32_t* run_base_ = nullptr;
   Seg* seg_ = nullptr;       ///< per-processor running segment
   Time* seg_end_ = nullptr;  ///< segment completion times; idle = infinity
-  /// Flush segments on every advance (tracing or fault hooks active)
-  /// instead of lazily at the next settle visit.
-  bool eager_ = false;
+  /// Per-processor index into result_.segments of the record the next
+  /// advance may extend; -1 = none yet.
+  std::int64_t* open_rec_ = nullptr;
 
   // ----- fault-injection / containment state -----
   /// Validated non-empty plan, or nullptr. armed_ is true when either a

@@ -62,8 +62,8 @@ enum class ExecMode {
 
 const char* toString(ExecMode m);
 
-/// Contiguous run of one job on one processor — the raw material of a
-/// Figure 5-1-style Gantt chart.
+/// Maximal contiguous run of one job in one mode on one processor — the
+/// raw material of a Figure 5-1-style Gantt chart.
 struct ExecSegment {
   ProcessorId processor;
   JobId job;

@@ -231,8 +231,8 @@ TEST(Allocation, ZeroPerRunWhenFaultArmed) {
 #ifdef MPCP_ALLOC_TEST_SANITIZED
   GTEST_SKIP() << "sanitizer build owns the allocator; shim compiled out";
 #else
-  // Fault-armed runs take the eager bookkeeping path; they must be just
-  // as allocation-free (campaign throughput depends on it).
+  // Fault-armed runs add the fault hooks and containment scans; they
+  // must be just as allocation-free (campaign throughput depends on it).
   Rng rng(404);
   TaskSystem system = generateWorkload(contendedParams(), rng);
   PriorityTables tables(system);

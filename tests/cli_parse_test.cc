@@ -4,10 +4,12 @@
 // std::stoull aborted with a context-free "stoull: invalid_argument".
 // accumulateSweepTotals must instead diagnose the row, the column, and
 // the offending field, and must reject wrong column counts outright.
+// ParseArgs pins the command-line splitter both tools share.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "cli_util.h"
 
@@ -80,6 +82,24 @@ TEST(AccumulateSweepTotals, MalformedRowLeavesNoPartialSums) {
                                      totals.data(), totals.size()),
                std::runtime_error);
   EXPECT_EQ(totals, zeros());
+}
+
+TEST(ParseArgs, BareFlagsNeverTakeTheNextToken) {
+  std::vector<std::string> tokens = {"tool",   "simulate", "--narrative",
+                                     "w.mpcp", "--horizon", "100",
+                                     "--gantt", "--resume"};
+  std::vector<char*> argv;
+  for (std::string& t : tokens) argv.push_back(t.data());
+  const Args args = parseArgs(static_cast<int>(argv.size()), argv.data(), 2,
+                              {"narrative", "resume"});
+  EXPECT_EQ(args.positional, std::vector<std::string>{"w.mpcp"});
+  EXPECT_TRUE(args.has("narrative"));
+  EXPECT_EQ(args.get("narrative", "none"), "none");
+  EXPECT_EQ(args.get("horizon", ""), "100");
+  // A flag followed by another flag gets no value.
+  EXPECT_TRUE(args.has("gantt"));
+  EXPECT_EQ(args.get("gantt", "none"), "none");
+  EXPECT_TRUE(args.has("resume"));
 }
 
 }  // namespace

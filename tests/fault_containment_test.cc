@@ -7,11 +7,14 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/simulate.h"
 #include "fault/plan.h"
 #include "model/task_system.h"
+#include "obs/counters.h"
 #include "sim/reference_mpcp.h"
 #include "taskgen/generator.h"
 
@@ -223,6 +226,129 @@ TEST(Containment, EngineMatchesReferenceUnderMirrorablePlan) {
   EXPECT_EQ(engine.any_deadline_miss, ref.any_deadline_miss);
   EXPECT_EQ(engine.counters.totalAcquisitions(),
             ref.counters.totalAcquisitions());
+}
+
+TEST(Containment, StallWindowCutsTheRunningJobAtBothEdges) {
+  // One job of 10 ticks on P0; P0 stalls over [3, 7). The job runs
+  // [0, 3), waits out the stall ready but undispatched (blocking: its
+  // processor idles while it is ready), and runs [7, 14).
+  TaskSystemBuilder b(1);
+  b.addTask({.name = "t", .period = 100, .processor = 0,
+             .body = Body{}.compute(10)});
+  const TaskSystem sys = std::move(b).build();
+  const FaultPlan plan = parsePlan("stall:P0:3:4", sys);
+  SimConfig config{.horizon = 50};
+  config.fault_plan = &plan;
+  const SimResult r = simulate(ProtocolKind::kMpcp, sys, config);
+
+  ASSERT_EQ(r.jobs.size(), 1u);
+  const JobRecord& j = r.jobs.front();
+  EXPECT_EQ(j.finish, 14);
+  EXPECT_EQ(j.executed, 10);
+  EXPECT_EQ(j.blocked, 4);
+  EXPECT_EQ(j.preempted, 0);
+  ASSERT_EQ(r.segments.size(), 2u);
+  EXPECT_EQ(r.segments[0].begin, 0);
+  EXPECT_EQ(r.segments[0].end, 3);
+  EXPECT_EQ(r.segments[1].begin, 7);
+  EXPECT_EQ(r.segments[1].end, 14);
+  EXPECT_EQ(r.counters.faults_injected, 1u);
+  EXPECT_EQ(r.processor_busy.at(0), 10);
+}
+
+/// Every JobRecord field, for whole-run equality.
+std::vector<std::vector<std::int64_t>> jobRows(const SimResult& r) {
+  std::vector<std::vector<std::int64_t>> rows;
+  for (const JobRecord& j : r.jobs) {
+    rows.push_back({j.id.task.value(), j.id.instance, j.release,
+                    j.abs_deadline, j.finish, j.executed, j.blocked,
+                    j.preempted, j.suspended, j.missed, j.aborted});
+  }
+  return rows;
+}
+
+TEST(Containment, TracingIsScheduleNeutralUnderEveryPolicy) {
+  // Recording the trace must not move the schedule, and the segments it
+  // records must account for every executed tick exactly once, as
+  // maximal runs: with and without a fault plan, under every policy.
+  WorkloadParams params;
+  params.processors = 3;
+  params.tasks_per_processor = 3;
+  params.global_resources = 2;
+  params.utilization_per_processor = 0.75;
+  params.period_min = 20;
+  params.period_max = 400;
+  params.period_granularity = 5;
+  const std::pair<const char*, ContainmentConfig> policies[] = {
+      {"none", {}},
+      {"budget", {.budget_enforce = true}},
+      {"watchdog", {.holder_watchdog = 40}},
+      {"abort", {.on_miss = MissAction::kAbortJob}},
+      {"skip", {.on_miss = MissAction::kSkipNextRelease}},
+  };
+
+  int aborted = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const TaskSystem sys = generateWorkload(params, rng);
+    const FaultPlan plan = FaultPlan::random(rng, sys, 2);
+    std::vector<std::pair<std::string, SimConfig>> configs;
+    configs.push_back({"no plan", SimConfig{.horizon = 4000}});
+    for (const auto& [name, cc] : policies) {
+      SimConfig config{.horizon = 4000};
+      config.fault_plan = &plan;
+      config.containment = cc;
+      configs.push_back({std::string("plan, ") + name, config});
+    }
+    for (const ProtocolSpec& spec : protocolRegistry()) {
+      for (auto [name, config] : configs) {
+        const std::string where = std::string(toString(spec.kind)) +
+                                  " seed " + std::to_string(seed) + " " +
+                                  name;
+        SimResult traced;
+        try {
+          traced = simulate(spec.kind, sys, config);
+        } catch (const ConfigError&) {
+          continue;  // protocol does not apply to this system
+        }
+        config.record_trace = false;
+        const SimResult plain = simulate(spec.kind, sys, config);
+        EXPECT_EQ(jobRows(traced), jobRows(plain)) << where;
+        EXPECT_EQ(obs::renderCounters(traced.counters),
+                  obs::renderCounters(plain.counters))
+            << where;
+        EXPECT_EQ(traced.processor_busy, plain.processor_busy) << where;
+
+        std::map<std::pair<std::int32_t, std::int64_t>, Duration> run;
+        std::vector<Duration> busy(traced.processor_busy.size(), 0);
+        std::map<std::int32_t, const ExecSegment*> last;
+        for (const ExecSegment& s : traced.segments) {
+          ASSERT_LT(s.begin, s.end) << where;
+          run[{s.job.task.value(), s.job.instance}] += s.end - s.begin;
+          busy.at(static_cast<std::size_t>(s.processor.value())) +=
+              s.end - s.begin;
+          // Recorded per processor in time order: disjoint, and never
+          // continued by the same (job, mode) without a gap.
+          const ExecSegment* prev = last[s.processor.value()];
+          if (prev != nullptr) {
+            ASSERT_LE(prev->end, s.begin) << where;
+            EXPECT_FALSE(prev->end == s.begin && prev->job == s.job &&
+                         prev->mode == s.mode)
+                << where << ": segment at " << s.begin << " not maximal";
+          }
+          last[s.processor.value()] = &s;
+        }
+        EXPECT_EQ(busy, traced.processor_busy) << where;
+        for (const JobRecord& j : traced.jobs) {
+          aborted += j.aborted ? 1 : 0;
+          const auto it = run.find({j.id.task.value(), j.id.instance});
+          EXPECT_EQ(it == run.end() ? 0 : it->second, j.executed)
+              << where << ": " << j.id << (j.aborted ? " (aborted)" : "");
+        }
+      }
+    }
+  }
+  EXPECT_GT(aborted, 0) << "no run exercised the abort path";
 }
 
 }  // namespace

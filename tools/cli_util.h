@@ -91,6 +91,45 @@ inline double parseDouble(
   return value;
 }
 
+/// A command line: "--flag value" / "--flag" options and the positional
+/// arguments around them.
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string> options;  // value "" = bare flag
+
+  bool has(const std::string& key) const { return options.count(key) != 0; }
+  std::string get(const std::string& key, const std::string& fallback) const {
+    const auto it = options.find(key);
+    return it == options.end() || it->second.empty() ? fallback : it->second;
+  }
+};
+
+/// Splits argv[first, argc) into options and positional arguments. A flag
+/// named in `bare` (without the leading "--") never takes a value; any
+/// other flag takes the next token as its value unless that token starts
+/// with "--".
+inline Args parseArgs(int argc, char** argv, int first,
+                      const std::vector<std::string>& bare) {
+  Args args;
+  for (int i = first; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) != 0) {
+      args.positional.push_back(a);
+      continue;
+    }
+    const std::string flag = a.substr(2);
+    std::string value;
+    const bool takes_value =
+        std::find(bare.begin(), bare.end(), flag) == bare.end();
+    if (takes_value && i + 1 < argc &&
+        std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      value = argv[++i];
+    }
+    args.options[flag] = value;
+  }
+  return args;
+}
+
 /// Throws UsageError naming the first flag in `options` (keys without
 /// the leading "--") that is not in `allowed`.
 inline void rejectUnknownFlags(

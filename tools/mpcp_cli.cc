@@ -34,7 +34,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -115,38 +114,29 @@ ProtocolKind protocolFromName(const std::string& name) {
   return protocolKindFromName(name);
 }
 
-/// Pull "--flag value" / "--flag" options out of argv.
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;  // value "" = bare flag
+using cli::Args;
 
-  bool has(const std::string& key) const { return options.count(key) != 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() || it->second.empty() ? fallback : it->second;
-  }
-};
+/// Flags that take no value, so a file after one stays positional.
+const std::vector<std::string> kBareFlags = {
+    "narrative", "no-deferred", "paper-literal-f5", "counters",
+    "isolate",   "resume",      "sweep"};
 
-Args parseArgs(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      std::string value;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        value = argv[++i];
-      }
-      args.options[a.substr(2)] = value;
-    } else {
-      args.positional.push_back(a);
-    }
+/// The task-system file: the first positional argument. `--gantt [END]`
+/// takes the next token as its end time, so a `--gantt` placed before
+/// the file swallows it; say so instead of reporting a missing file.
+const std::string& taskFile(const Args& args) {
+  if (!args.positional.empty()) return args.positional.front();
+  const std::string end = args.get("gantt", "");
+  if (end.find_first_not_of("0123456789") != std::string::npos) {
+    throw cli::UsageError("--gantt took '" + end +
+                          "' as its end time; put the task-system file "
+                          "before --gantt");
   }
-  return args;
+  throw cli::UsageError("missing task-system file");
 }
 
 int cmdTables(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const TaskSystem sys = load(args.positional[0]);
+  const TaskSystem sys = load(taskFile(args));
   const PriorityTables tables(sys);
   std::cout << "=== priority ceilings ===\n"
             << renderCeilingTable(sys, tables)
@@ -156,8 +146,7 @@ int cmdTables(const Args& args) {
 }
 
 int cmdAnalyze(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const TaskSystem sys = load(args.positional[0]);
+  const TaskSystem sys = load(taskFile(args));
   const ProtocolKind kind = protocolFromName(args.get("protocol", "mpcp"));
   AnalyzerOptions options;
   options.mpcp.include_deferred_execution = !args.has("no-deferred");
@@ -170,8 +159,7 @@ int cmdAnalyze(const Args& args) {
 }
 
 int cmdSimulate(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const TaskSystem sys = load(args.positional[0]);
+  const TaskSystem sys = load(taskFile(args));
   const ProtocolKind kind = protocolFromName(args.get("protocol", "mpcp"));
   // Probe output paths before simulating, so a typo'd path fails in
   // milliseconds instead of after the run.
@@ -233,8 +221,7 @@ int cmdSimulate(const Args& args) {
 }
 
 int cmdSensitivity(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const TaskSystem sys = load(args.positional[0]);
+  const TaskSystem sys = load(taskFile(args));
   const ProtocolKind kind = protocolFromName(args.get("protocol", "mpcp"));
   const auto result = sensitivityPerTask(sys, [kind](const TaskSystem& s) {
     return analyzeUnder(kind, s).report.rta_all;
@@ -467,8 +454,7 @@ int cmdSweep(const Args& args) {
 // from `--seed`. `--policy` is "none" or a comma list (budget-enforce,
 // job-abort, skip-next-release, watchdog).
 int cmdFaults(const Args& args) {
-  if (args.positional.empty()) return usage();
-  const TaskSystem sys = load(args.positional[0]);
+  const TaskSystem sys = load(taskFile(args));
   const ProtocolKind kind = protocolFromName(args.get("protocol", "mpcp"));
   if (args.has("plan") && args.has("random")) {
     throw cli::UsageError("--plan and --random are mutually exclusive");
@@ -591,7 +577,7 @@ int main(int argc, char** argv) {
   exec::installInterruptHandlers();
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args = parseArgs(argc, argv, 2);
+  const Args args = cli::parseArgs(argc, argv, 2, kBareFlags);
   try {
     const auto flags = commandFlags().find(cmd);
     if (flags != commandFlags().end()) {

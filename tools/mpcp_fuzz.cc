@@ -19,9 +19,7 @@
 // Exit codes: 0 = clean (or findings present under --expect-findings),
 // 1 = violations found (or none found when expected), 2 = usage error.
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,17 +61,6 @@ int usage() {
   return 2;
 }
 
-/// Pull "--flag value" / "--flag" options out of argv.
-struct Args {
-  std::map<std::string, std::string> options;  // value "" = bare flag
-
-  bool has(const std::string& key) const { return options.count(key) != 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() || it->second.empty() ? fallback : it->second;
-  }
-};
-
 /// Every flag any mode reads; main rejects any other flag.
 const std::vector<std::string> kFlags = {
     "runs", "seed", "time-budget", "protocols", "mutate", "corpus-dir",
@@ -81,34 +68,20 @@ const std::vector<std::string> kFlags = {
     "max-findings", "faults", "fault-count", "fault-grace", "fault-watchdog",
     "campaign", "resume", "replay", "no-mutation", "list-mutations", "help"};
 
-bool parseArgs(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) return false;
-    std::string value;
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value = argv[++i];
-    }
-    args.options[a.substr(2)] = value;
-  }
-  return true;
-}
+/// The flags in kFlags that take no value.
+const std::vector<std::string> kBareFlags = {
+    "no-shrink", "no-mutation", "faults", "resume", "expect-findings",
+    "list-mutations", "help"};
 
-/// "120" or "120s" -> 120 seconds, "2m" -> 120 seconds. -1 on parse error.
+/// "120" or "120s" -> 120 seconds, "2m" -> 120 seconds.
 double parseBudget(const std::string& text) {
-  if (text.empty()) return -1;
   double scale = 1;
   std::string digits = text;
-  const char suffix = text.back();
-  if (suffix == 's' || suffix == 'm') {
-    scale = suffix == 'm' ? 60 : 1;
-    digits = text.substr(0, text.size() - 1);
+  if (!digits.empty() && (digits.back() == 's' || digits.back() == 'm')) {
+    scale = digits.back() == 'm' ? 60 : 1;
+    digits.pop_back();
   }
-  try {
-    return std::stod(digits) * scale;
-  } catch (const std::exception&) {
-    return -1;
-  }
+  return cli::parseDouble("--time-budget", digits, 0) * scale;
 }
 
 std::vector<std::string> splitCommas(const std::string& text) {
@@ -134,7 +107,7 @@ int listMutations() {
   return 0;
 }
 
-int replayMode(const Args& args) {
+int replayMode(const cli::Args& args) {
   const fuzz::ReproCase repro = fuzz::loadReproFile(args.get("replay", ""));
   const bool with_mutation = !args.has("no-mutation");
   const fuzz::ReplayOutcome outcome = fuzz::replay(repro, with_mutation);
@@ -145,7 +118,7 @@ int replayMode(const Args& args) {
   return outcome.clean() ? 0 : 1;
 }
 
-int fuzzMode(const Args& args) {
+int fuzzMode(const cli::Args& args) {
   fuzz::FuzzOptions options;
   options.runs = static_cast<int>(
       cli::parseInt("--runs", args.get("runs", "200"), 1, 100'000'000));
@@ -163,11 +136,6 @@ int fuzzMode(const Args& args) {
                     1'000'000));
   if (args.has("time-budget")) {
     options.time_budget_s = parseBudget(args.get("time-budget", ""));
-    if (options.time_budget_s < 0) {
-      std::cerr << "bad --time-budget '" << args.get("time-budget", "")
-                << "' (want e.g. 120s or 2m)\n";
-      return 2;
-    }
   }
   if (args.has("protocols")) {
     options.protocols = splitCommas(args.get("protocols", ""));
@@ -276,10 +244,13 @@ int main(int argc, char** argv) {
   // campaign journal stays valid for --resume and the exit code is
   // 128+signo (130 for SIGINT).
   mpcp::exec::installInterruptHandlers();
-  Args args;
-  if (!parseArgs(argc, argv, args)) return usage();
+  const cli::Args args = cli::parseArgs(argc, argv, 1, kBareFlags);
   if (args.has("help")) return usage();
   try {
+    if (!args.positional.empty()) {
+      throw cli::UsageError("unexpected argument '" + args.positional[0] +
+                            "'");
+    }
     cli::rejectUnknownFlags(args.options, kFlags);
     if (args.has("list-mutations")) return listMutations();
     if (args.has("replay")) return replayMode(args);
